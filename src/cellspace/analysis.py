@@ -9,7 +9,6 @@ gamma times the parent diameter.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
@@ -22,7 +21,7 @@ from .errors import (
     PointSetMismatch,
     ZeroDiameterInternalCell,
 )
-from .metrics import Geometry, MetricTable, WeightFn, critical_radii
+from .metrics import BallScanner, Geometry, WeightFn, critical_radii
 from .spaces import ProductSpec
 
 EXACT_COVER_CAP = 20  # balls with more candidate centers fall back to greedy
@@ -221,29 +220,6 @@ class DoublingResult:
         return self.value
 
 
-class _RadiusBalls:
-    """Balls of a fixed table at query radii, via per-center sorted rows."""
-
-    def __init__(self, table: MetricTable):
-        self.table = table
-        self.sorted_rows = []
-        self.orders = []
-        for i in range(table.n):
-            pairs = sorted(zip(table.rows[i], range(table.n)))
-            self.sorted_rows.append([p[0] for p in pairs])
-            self.orders.append([p[1] for p in pairs])
-        self._cache: dict = {}
-
-    def ball(self, x: int, r) -> frozenset:
-        key = (x, r)
-        got = self._cache.get(key)
-        if got is None:
-            cnt = bisect_right(self.sorted_rows[x], r)
-            got = frozenset(self.orders[x][:cnt])
-            self._cache[key] = got
-        return got
-
-
 def _exact_min_cover(universe: frozenset, sets: list[frozenset]) -> int:
     """Minimum number of the given sets whose union contains the universe.
 
@@ -299,7 +275,7 @@ def metric_doubling_constant(g: Geometry, radii=None) -> DoublingResult:
     table = g.table
     if table.n <= 1:
         return DoublingResult(1, True, None)
-    balls = _RadiusBalls(table)
+    balls = BallScanner(table)
     per_center = radii is None
     best_exact, wit_exact = 1, None
     best_greedy, wit_greedy = 0, None
@@ -342,16 +318,15 @@ def measure_metric_doubling(g: Geometry, mu: MeasureAtoms):
     if table.n <= 1:
         return Fraction(1)
     radii = critical_radii(table)
+    balls = BallScanner(table)
     best = Fraction(1)
     for x in range(table.n):
-        pairs = sorted(zip(table.rows[x], range(table.n)))
-        dists = [p[0] for p in pairs]
         prefix = [Fraction(0)]
-        for _, idx in pairs:
+        for idx in balls.orders[x]:
             prefix.append(prefix[-1] + mu.values[idx])
         for r in radii:
-            num = prefix[bisect_right(dists, r)]
-            den = prefix[bisect_right(dists, r / 2)]
+            num = prefix[balls.count_within(x, r)]
+            den = prefix[balls.count_within(x, r / 2)]
             ratio = num / den
             if ratio > best:
                 best = ratio

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import (
+    BrokenCellTree,
     CellSpaceError,
     DuplicateLeafLabel,
     EmptyCell,
@@ -239,28 +240,38 @@ class CellTree:
     # -- diagnostics -------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Exhaustively re-check the CellTree invariants; raises on failure."""
-        assert self.members[self.ROOT] == frozenset(range(self.n_points))
+        """Exhaustively re-check the CellTree invariants; raises
+        BrokenCellTree on the first failure."""
+        if self.members[self.ROOT] != frozenset(range(self.n_points)):
+            raise BrokenCellTree("root does not hold every point")
         for c in self.cells():
-            assert self.members[c], "empty cell"
+            if not self.members[c]:
+                raise BrokenCellTree(f"empty cell {c}")
             kids = self.children[c]
             if kids:
-                assert len(kids) >= 2, f"unary internal node {c}"
+                if len(kids) < 2:
+                    raise BrokenCellTree(f"unary internal node {c}")
                 union: set[int] = set()
                 for k in kids:
-                    assert self.parent[k] == c
-                    assert not (self.members[k] & union), "overlapping children"
+                    if self.parent[k] != c:
+                        raise BrokenCellTree(f"child {k} of {c} has another parent")
+                    if self.members[k] & union:
+                        raise BrokenCellTree(f"overlapping children of {c}")
                     union |= self.members[k]
-                assert union == set(self.members[c]), "children do not partition"
+                if union != set(self.members[c]):
+                    raise BrokenCellTree(f"children of {c} do not partition it")
                 mins = [min(self.members[k]) for k in kids]
-                assert mins == sorted(mins), "children out of order"
-            else:
-                assert len(self.members[c]) == 1, "leaf with several points"
+                if mins != sorted(mins):
+                    raise BrokenCellTree(f"children of {c} out of order")
+            elif len(self.members[c]) != 1:
+                raise BrokenCellTree(f"leaf {c} with several points")
         for a in self.cells():
             for b in self.cells():
                 ma, mb = self.members[a], self.members[b]
-                assert ma.isdisjoint(mb) or ma <= mb or mb <= ma, "not laminar"
-        assert self.n_cells <= max(1, 2 * self.n_points - 1)
+                if not (ma.isdisjoint(mb) or ma <= mb or mb <= ma):
+                    raise BrokenCellTree(f"cells {a} and {b} are not laminar")
+        if self.n_cells > max(1, 2 * self.n_points - 1):
+            raise BrokenCellTree(f"{self.n_cells} cells on {self.n_points} points")
 
     def shape_signature(self):
         """Label-free canonical form; equal signatures = isomorphic trees."""

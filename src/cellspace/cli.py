@@ -390,10 +390,7 @@ def main(argv=None) -> int:
     except FormatError as e:
         print(f"malformed input: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (CellSpaceError, OSError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as e:
+    except (OSError, ValueError) as e:  # includes CellSpaceError, JSONDecodeError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -42,6 +42,10 @@ class NotDisjoint(CellSpaceError):
         super().__init__(f"cells are not pairwise disjoint (shared point {witness!r})")
 
 
+class BrokenCellTree(CellSpaceError):
+    """A CellTree violates one of its canonical-form invariants."""
+
+
 class EmptySubset(CellSpaceError):
     """An induced substructure was requested on the empty set."""
 

@@ -183,12 +183,17 @@ def load_space(text_or_obj, strict: bool = True) -> LoadedSpace:
             measures[i] = parse_frac(payload["measure"])
         if "interval" in payload:
             quad = payload["interval"]
-            if not (isinstance(quad, list) and len(quad) == 4):
-                raise FormatError("interval must be [num, den, num, den]")
-            intervals[i] = (
-                Fraction(int(quad[0]), int(quad[1])),
-                Fraction(int(quad[2]), int(quad[3])),
-            )
+            if not (
+                isinstance(quad, list)
+                and len(quad) == 4
+                and all(type(q) is int for q in quad)
+            ):
+                raise FormatError(
+                    f"interval must be [num, den, num, den] integers, got {quad!r}"
+                )
+            if quad[1] == 0 or quad[3] == 0:
+                raise FormatError(f"interval has a zero denominator: {quad!r}")
+            intervals[i] = (Fraction(quad[0], quad[1]), Fraction(quad[2], quad[3]))
     measure = None
     if measures:
         if len(measures) != tree.n_points:

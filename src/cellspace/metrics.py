@@ -34,7 +34,9 @@ class MetricTable:
     """Symmetric distance matrix over labeled points.
 
     Entries are exact Fractions by default; imported float tables carry an
-    explicit comparison tolerance.
+    explicit comparison tolerance.  The exhaustive triple checks scan exact
+    tables as integers over their common denominator, in int64 when it fits
+    and as Python ints otherwise, so every verdict is exact.
     """
 
     labels: tuple[str, ...]
@@ -101,7 +103,7 @@ class MetricTable:
                     return MetricVerdict(
                         False, "nonpositive distance", (self.labels[i], self.labels[j])
                     )
-        wit = _triangle_witness(self)
+        wit = _first_violation(self, np.add)
         if wit is not None:
             x, z, y = wit
             return MetricVerdict(
@@ -117,55 +119,34 @@ class MetricVerdict:
     witness: tuple
 
 
-def _int_matrix(table: MetricTable):
-    """Common-denominator integer rescale of an exact table, or None if the
-    values do not fit int64 (callers then fall back to exact loops)."""
+def _exact_matrix(table: MetricTable):
+    """The table as a numpy array whose comparisons are exact.
+
+    Exact tables are rescaled over their common denominator: int64 when
+    every sum of two entries fits, otherwise an object array of Python
+    ints.  Inexact tables are float64.
+    """
     if not table.exact:
-        return None
-    den = 1
-    for row in table.rows:
-        for v in row:
-            den = lcm(den, v.denominator)
-            if den >= _INT64_LIMIT:
-                return None
-    mx = 0
-    scaled = []
-    for row in table.rows:
-        r = [int(v * den) for v in row]
-        mx = max(mx, max(r, default=0))
-        scaled.append(r)
-    if mx * 2 >= _INT64_LIMIT:
-        return None
-    return np.array(scaled, dtype=np.int64)
+        return np.array(table.rows, dtype=float)
+    den = lcm(*{v.denominator for row in table.rows for v in row})
+    scaled = [[v.numerator * (den // v.denominator) for v in row] for row in table.rows]
+    mx = max((abs(v) for row in scaled for v in row), default=0)
+    return np.array(scaled, dtype=np.int64 if 2 * mx < _INT64_LIMIT else object)
 
 
-def _triangle_witness(table: MetricTable):
-    n = table.n
-    mat = _int_matrix(table)
-    if mat is not None:
-        ok = True
-        for y in range(n):
-            if (mat > mat[:, y][:, None] + mat[y, :][None, :]).any():
-                ok = False
-                break
-        if ok:
-            return None
-    elif not table.exact:
-        mat = np.array(table.rows, dtype=float)
-        ok = True
-        for y in range(n):
-            if (mat > mat[:, y][:, None] + mat[y, :][None, :] + table.tol).any():
-                ok = False
-                break
-        if ok:
-            return None
-    slack = table.tol if not table.exact else 0
-    for x in range(n):
-        for z in range(n):
-            dxz = table.rows[x][z]
-            for y in range(n):
-                if dxz > table.rows[x][y] + table.rows[y][z] + slack:
-                    return (x, z, y)
+def _first_violation(table: MetricTable, combine):
+    """Lexicographically smallest (x, z, y) with
+    d(x, z) > combine(d(x, y), d(y, z)) (+ tol on float tables), or None."""
+    mat = _exact_matrix(table)
+    cols = mat.T  # cols[z, y] = d(y, z); tables need not be symmetric
+    for x in range(table.n):
+        bound = combine(mat[x][None, :], cols)
+        if not table.exact:
+            bound = bound + table.tol
+        bad = mat[x][:, None] > bound
+        if bad.any():
+            z, y = divmod(int(np.argmax(bad)), table.n)
+            return x, z, y
     return None
 
 
@@ -258,32 +239,19 @@ def validate_ultrametric(m: MetricTable) -> UltrametricVerdict:
     """Exhaustive triple scan of d(x, z) <= max(d(x, y), d(y, z)).
 
     Returns the lexicographically smallest witness triple and its slack on
-    failure.  Exact tables are scanned with integer arithmetic.
+    failure.  Exact tables are scanned as integers over their common
+    denominator (int64, or Python ints when that would overflow); float
+    tables are scanned with their tolerance.
     """
-    n = m.n
-    mat = _int_matrix(m)
-    violated = None
-    if mat is not None:
-        for y in range(n):
-            if (mat > np.maximum(mat[:, y][:, None], mat[y, :][None, :])).any():
-                violated = True
-                break
-        if violated is None:
-            return UltrametricVerdict(True)
-    slack_tol = m.tol if not m.exact else 0
-    for x in range(n):
-        row_x = m.rows[x]
-        for z in range(n):
-            dxz = row_x[z]
-            for y in range(n):
-                bound = max(row_x[y], m.rows[y][z])
-                if dxz > bound + slack_tol:
-                    return UltrametricVerdict(
-                        False,
-                        witness=(m.labels[x], m.labels[z], m.labels[y]),
-                        slack=dxz - bound,
-                    )
-    return UltrametricVerdict(True)
+    wit = _first_violation(m, np.maximum)
+    if wit is None:
+        return UltrametricVerdict(True)
+    x, z, y = wit
+    return UltrametricVerdict(
+        False,
+        witness=(m.labels[x], m.labels[z], m.labels[y]),
+        slack=m.rows[x][z] - max(m.rows[x][y], m.rows[y][z]),
+    )
 
 
 # -- geometry ---------------------------------------------------------------
@@ -414,23 +382,32 @@ def critical_radii(table: MetricTable) -> list:
     return radii
 
 
-class _BallScanner:
-    """Per-center sorted distance rows; balls answered by bisection."""
+class BallScanner:
+    """Closed balls of a fixed table, via per-center sorted rows.
+
+    ``orders[x]`` lists point indices by distance from x, so the ball of
+    radius r around x is the prefix of length ``count_within(x, r)``.
+    """
 
     def __init__(self, table: MetricTable):
-        self.table = table
         self.sorted_rows = []
         self.orders = []
         for i in range(table.n):
             pairs = sorted(zip(table.rows[i], range(table.n)))
             self.sorted_rows.append([p[0] for p in pairs])
             self.orders.append([p[1] for p in pairs])
+        self._cache: dict = {}
 
     def count_within(self, x: int, r) -> int:
         return bisect_right(self.sorted_rows[x], r)
 
     def ball(self, x: int, r) -> frozenset:
-        return frozenset(self.orders[x][: self.count_within(x, r)])
+        key = (x, r)
+        got = self._cache.get(key)
+        if got is None:
+            got = frozenset(self.orders[x][: self.count_within(x, r)])
+            self._cache[key] = got
+        return got
 
 
 def balls_equal_cells(tree: CellTree, m: MetricTable) -> BallCellVerdict:
@@ -443,7 +420,7 @@ def balls_equal_cells(tree: CellTree, m: MetricTable) -> BallCellVerdict:
     """
     if tuple(m.labels) != tuple(tree.points):
         raise PointSetMismatch("table labels differ from tree points")
-    scanner = _BallScanner(m)
+    scanner = BallScanner(m)
     # max distance from x to each of its ancestors, leaf upward
     chain_maxdist = {}
     for i in range(tree.n_points):

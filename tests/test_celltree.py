@@ -6,6 +6,8 @@ partition completion, induced substructures, and the tree duality round
 trip.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from cellspace import (
@@ -18,6 +20,8 @@ from cellspace import (
 )
 from cellspace.celltree import RootedTree
 from cellspace.errors import (
+    BrokenCellTree,
+    CellSpaceError,
     DuplicateLeafLabel,
     EmptyCell,
     EmptySubset,
@@ -45,6 +49,33 @@ def test_validate_family_three_points():
     kids = [(sorted(t.cell_points(c))) for c in t.children[t.ROOT]]
     assert kids == [["1", "2"], ["3"]]
     t.check_invariants()
+
+
+def _break(tree: CellTree, how: str) -> CellTree:
+    root_kids = tree.children[tree.ROOT]
+    if how == "unary":
+        children = (root_kids[:1],) + tree.children[1:]
+        return replace(tree, children=children)
+    if how == "order":
+        children = (tuple(reversed(root_kids)),) + tree.children[1:]
+        return replace(tree, children=children)
+    if how == "parent":
+        parent = list(tree.parent)
+        parent[root_kids[0]] = root_kids[1]
+        return replace(tree, parent=tuple(parent))
+    raise AssertionError(how)
+
+
+@pytest.mark.parametrize(
+    "how, message",
+    [("unary", "unary"), ("order", "out of order"), ("parent", "another parent")],
+)
+def test_check_invariants_raises_on_broken_tree(how, message):
+    # built directly, bypassing validation; the check must raise even under -O
+    tree = _break(product_space(ProductSpec((2, 2))), how)
+    with pytest.raises(BrokenCellTree, match=message) as exc:
+        tree.check_invariants()
+    assert isinstance(exc.value, CellSpaceError)
 
 
 def test_validate_family_overlap_witness():

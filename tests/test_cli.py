@@ -167,6 +167,30 @@ def test_validate_garbage_family_is_malformed(tmp_path, capsys):
     assert code == 2
 
 
+def _validate_with_first_interval(tmp_path, capsys, quad):
+    f = tmp_path / "c.json"
+    _run(capsys, "generate", "cantor", "--depth", "2", "--out", str(f))
+    obj = json.loads(f.read_text())
+    node = obj["root"]
+    while "point" not in node:
+        node = node["children"][0]
+    node["interval"] = quad
+    f.write_text(json.dumps(obj))
+    return _run(capsys, "validate", str(f))
+
+
+def test_validate_interval_zero_denominator_is_malformed(tmp_path, capsys):
+    code, stdout, err = _validate_with_first_interval(tmp_path, capsys, [0, 0, 1, 1])
+    assert code == 2 and stdout == ""
+    assert err.startswith("malformed input:") and "zero denominator" in err
+
+
+def test_validate_interval_non_integer_part_is_malformed(tmp_path, capsys):
+    code, stdout, err = _validate_with_first_interval(tmp_path, capsys, ["x", 1, 1, 1])
+    assert code == 2 and stdout == ""
+    assert err.startswith("malformed input:") and "integers" in err
+
+
 def test_validate_missing_file(capsys):
     code, _, err = _run(capsys, "validate", "/nonexistent/x.json")
     assert code == 2

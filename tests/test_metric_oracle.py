@@ -1,0 +1,158 @@
+"""Exhaustive triple checks against slow reference loops.
+
+`check_metric` and `validate_ultrametric` decide the triangle and strong
+triangle inequalities with one numpy scan.  The reference functions below
+are the plain triple loops over the table entries; the property tests
+compare verdict, reason, witness and slack (value and type) on generated
+tables of three kinds: small common denominators (int64 scan), wide ones
+whose rescaled integers overflow int64 (Python-int scan), and float tables
+with a tolerance.  Symmetric and asymmetric tables are both drawn.
+"""
+
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cellspace import MetricTable, validate_ultrametric
+from cellspace.metrics import MetricVerdict, UltrametricVerdict, _exact_matrix
+
+WIDE_DENOMINATORS = (2**63 + 1, 3**41, 2**64 - 59)
+TOLERANCES = (0.0, 1e-9, 0.25)
+
+
+def ref_check_metric(t: MetricTable) -> MetricVerdict:
+    n = t.n
+    for i in range(n):
+        if t.rows[i][i] != 0:
+            return MetricVerdict(False, "nonzero diagonal", (t.labels[i],))
+        for j in range(i + 1, n):
+            v = t.rows[i][j]
+            if v != t.rows[j][i]:
+                return MetricVerdict(False, "asymmetric", (t.labels[i], t.labels[j]))
+            if v <= 0:
+                return MetricVerdict(
+                    False, "nonpositive distance", (t.labels[i], t.labels[j])
+                )
+    slack = t.tol if not t.exact else 0
+    for x in range(n):
+        for z in range(n):
+            for y in range(n):
+                if t.rows[x][z] > t.rows[x][y] + t.rows[y][z] + slack:
+                    return MetricVerdict(
+                        False,
+                        "triangle inequality fails",
+                        (t.labels[x], t.labels[z], t.labels[y]),
+                    )
+    return MetricVerdict(True, "", ())
+
+
+def ref_validate_ultrametric(t: MetricTable) -> UltrametricVerdict:
+    n = t.n
+    slack = t.tol if not t.exact else 0
+    for x in range(n):
+        for z in range(n):
+            dxz = t.rows[x][z]
+            for y in range(n):
+                bound = max(t.rows[x][y], t.rows[y][z])
+                if dxz > bound + slack:
+                    return UltrametricVerdict(
+                        False,
+                        witness=(t.labels[x], t.labels[z], t.labels[y]),
+                        slack=dxz - bound,
+                    )
+    return UltrametricVerdict(True)
+
+
+@st.composite
+def tables(draw, kind):
+    """Small tables whose entries are k plus a kind-specific nudge.
+
+    Integer parts in 0..4 (1..4 on half the tables, so that more of them
+    reach the triangle scan) make ties and violations common; the nudges
+    (1/D for a wide D, or 1e-10 on floats) create near-ties that only an
+    exact scan (or the right tolerance) decides correctly.
+    """
+    n = draw(st.integers(1, 6))
+    symmetric = draw(st.booleans())
+    zero_diag = draw(st.integers(0, 9)) > 0
+    low = draw(st.sampled_from((0, 1)))
+    if kind == "wide":
+        den = draw(st.sampled_from(WIDE_DENOMINATORS))
+        nudge = st.sampled_from((F(0), F(1, den), F(-1, den)))
+    elif kind == "float":
+        nudge = st.sampled_from((0.0, 1e-10, -1e-10))
+    else:
+        nudge = st.sampled_from((F(0), F(1, 2), F(1, 3)))
+
+    def entry():
+        return draw(st.integers(low, 4)) + draw(nudge)
+
+    zero = 0.0 if kind == "float" else F(0)
+    rows = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = zero if zero_diag else entry()
+        for j in range(n):
+            if i < j or (i > j and not symmetric):
+                rows[i][j] = entry()
+            elif i > j:
+                rows[i][j] = rows[j][i]
+    labels = tuple(f"p{i}" for i in range(n))
+    if kind == "float":
+        tol = draw(st.sampled_from(TOLERANCES))
+        return MetricTable(labels, tuple(map(tuple, rows)), exact=False, tol=tol)
+    return MetricTable(labels, tuple(map(tuple, rows)))
+
+
+KINDS = ("int64", "wide", "float")
+ORACLE = settings(max_examples=250, deadline=None, database=None)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@ORACLE
+@given(data=st.data())
+def test_check_metric_matches_triple_loop(kind, data):
+    t = data.draw(tables(kind))
+    assert t.check_metric() == ref_check_metric(t)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@ORACLE
+@given(data=st.data())
+def test_validate_ultrametric_matches_triple_loop(kind, data):
+    t = data.draw(tables(kind))
+    got, want = validate_ultrametric(t), ref_validate_ultrametric(t)
+    assert (got.ok, got.witness, got.slack) == (want.ok, want.witness, want.slack)
+    assert type(got.slack) is type(want.slack)
+
+
+def test_exact_matrix_representation():
+    small = MetricTable(("a", "b"), ((F(0), F(1, 3)), (F(1, 3), F(0))))
+    assert _exact_matrix(small).dtype == np.int64
+    assert _exact_matrix(small).tolist() == [[0, 1], [1, 0]]
+    # common denominator 2 * (2**63 + 1): the scaled entries overflow int64
+    wide = MetricTable(
+        ("a", "b"), ((F(0), F(1, 2)), (F(1, 2) + F(1, 2**63 + 1), F(0)))
+    )
+    mat = _exact_matrix(wide)
+    assert mat.dtype == object and mat[0, 1] == 2**63 + 1
+    floats = MetricTable(("a", "b"), ((0.0, 0.5), (0.5, 0.0)), exact=False)
+    assert _exact_matrix(floats).dtype == np.float64
+
+
+def test_wide_tables_decide_near_ties_exactly():
+    # 2 + 1/D exceeds 1 + 1 by less than a float can resolve
+    eps = F(1, 2**63 + 1)
+    rows = (
+        (F(0), F(1), F(2) + eps),
+        (F(1), F(0), F(1)),
+        (F(2) + eps, F(1), F(0)),
+    )
+    t = MetricTable(("a", "b", "c"), rows)
+    assert _exact_matrix(t).dtype == object
+    v = t.check_metric()
+    assert not v.ok and v.witness == ("a", "c", "b")
+    u = validate_ultrametric(t)
+    assert u.witness == ("a", "c", "b") and u.slack == 1 + eps

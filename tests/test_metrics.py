@@ -153,7 +153,7 @@ def test_validate_ultrametric_middle_thirds_fails():
 
 
 def test_validate_ultrametric_big_denominators_fallback():
-    # denominators beyond int64 force the exact pure-python path
+    # a 2**70 denominator, yet the rescaled integers stay small: int64 scan
     huge = F(1, 2**70)
     m = MetricTable(
         ("a", "b", "c"),
