@@ -36,13 +36,18 @@ class RootedTree:
     def is_leaf(self) -> bool:
         return not self.children
 
-    def leaves(self) -> list["RootedTree"]:
-        if self.is_leaf():
-            return [self]
+    def preorder(self) -> list["RootedTree"]:
+        """Vertices in depth-first preorder, children left to right."""
         out = []
-        for ch in self.children:
-            out.extend(ch.leaves())
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            out.append(node)
+            stack.extend(reversed(node.children))
         return out
+
+    def leaves(self) -> list["RootedTree"]:
+        return [node for node in self.preorder() if node.is_leaf()]
 
 
 @dataclass(frozen=True)
@@ -106,43 +111,65 @@ class CellTree:
 
     @classmethod
     def _from_member_sets(cls, points, sets) -> "CellTree":
-        """Build from a laminar, deduplicated family that contains the full
-        set and every singleton.  No validation beyond parent assignment."""
+        """Build from a family that contains the full set and every singleton.
+
+        One pass over the distinct sets in order of decreasing size, ties by
+        smallest point.  ``owner[p]`` is the most recently processed (hence
+        smallest) set that holds point p; it starts as the full set.  A set
+        nests with every earlier set exactly when all its points have the
+        same owner, which is then its parent; the set becomes the owner of
+        its points.  Cost O(m log m + sum of cell sizes) for m sets.
+
+        Raises Overlap at the first set b whose points have several owners,
+        with a = the most recently processed of those owners.  That a always
+        overlaps b without nesting; the witness points are min(a & b) and
+        min(a ^ b).
+        """
         points = tuple(points)
-        fam = sorted(set(sets), key=lambda s: (-len(s), min(s)))
-        # nearest strict superset = parent (supersets of a set form a chain)
-        parent_of: dict[frozenset, frozenset | None] = {fam[0]: None}
-        kids: dict[frozenset, list[frozenset]] = {s: [] for s in fam}
-        for i, s in enumerate(fam[1:], start=1):
-            best = None
-            for t in fam[:i]:
-                if s < t and (best is None or len(t) < len(best)):
-                    best = t
-            parent_of[s] = best
-            kids[best].append(s)
-        for s in kids:
-            kids[s].sort(key=min)
+        fam = sorted(dict.fromkeys(sets), key=lambda s: (-len(s), min(s)))
+        owner = [0] * len(points)
+        parent_of: list[int | None] = [None]
+        kids: list[list[int]] = [[] for _ in fam]
+        for i in range(1, len(fam)):
+            s = fam[i]
+            owners = {owner[p] for p in s}
+            a = max(owners)
+            if len(owners) > 1:
+                t = fam[a]
+                raise Overlap(
+                    {points[p] for p in t},
+                    {points[p] for p in s},
+                    (points[min(t & s)], points[min(t ^ s)]),
+                )
+            parent_of.append(a)
+            kids[a].append(i)
+            for p in s:
+                owner[p] = i
+        mins = [min(s) for s in fam]
+        for ks in kids:
+            ks.sort(key=mins.__getitem__)
         # depth-first preorder ids
-        order: list[frozenset] = []
-        stack = [fam[0]]
+        order: list[int] = []
+        stack = [0]
         while stack:
-            s = stack.pop()
-            order.append(s)
-            stack.extend(reversed(kids[s]))
-        ids = {s: i for i, s in enumerate(order)}
+            i = stack.pop()
+            order.append(i)
+            stack.extend(reversed(kids[i]))
+        ids = [0] * len(fam)
+        for c, i in enumerate(order):
+            ids[i] = c
         parent = tuple(
-            None if parent_of[s] is None else ids[parent_of[s]] for s in order
+            None if parent_of[i] is None else ids[parent_of[i]] for i in order
         )
-        children = tuple(tuple(ids[k] for k in kids[s]) for s in order)
-        members = tuple(order)
+        children = tuple(tuple(ids[k] for k in kids[i]) for i in order)
+        members = tuple(fam[i] for i in order)
         depth_list = [0] * len(order)
-        for i, s in enumerate(order):
-            if parent[i] is not None:
-                depth_list[i] = depth_list[parent[i]] + 1
+        for c in range(1, len(order)):
+            depth_list[c] = depth_list[parent[c]] + 1
         leaf_of = [0] * len(points)
-        for i, s in enumerate(order):
-            if len(s) == 1 and not children[i]:
-                leaf_of[next(iter(s))] = i
+        for c, s in enumerate(members):
+            if len(s) == 1 and not children[c]:
+                leaf_of[next(iter(s))] = c
         return cls(
             points=points,
             parent=parent,
@@ -184,19 +211,14 @@ class CellTree:
         """
         want = {self.point_index(p) for p in labels}
         out: list[int] = []
-
-        def walk(c: int) -> None:
+        stack = [self.ROOT] if want else []
+        while stack:
+            c = stack.pop()
             m = self.members[c]
             if m <= want:
                 out.append(c)
-                return
-            if m.isdisjoint(want):
-                return
-            for ch in self.children[c]:
-                walk(ch)
-
-        if want:
-            walk(self.ROOT)
+            elif not m.isdisjoint(want):
+                stack.extend(reversed(self.children[c]))
         return out
 
     def complete_partition(self, cs) -> list[int]:
@@ -229,59 +251,88 @@ class CellTree:
 
     def tree_of(self) -> RootedTree:
         """Abstract rooted tree with leaf labels equal to point labels."""
-
-        def build(c: int) -> RootedTree:
-            if self.is_leaf(c):
-                return RootedTree(label=self.points[next(iter(self.members[c]))])
-            return RootedTree(children=[build(ch) for ch in self.children[c]])
-
-        return build(self.ROOT)
+        nodes = [
+            RootedTree(label=self.points[next(iter(self.members[c]))])
+            if self.is_leaf(c)
+            else RootedTree()
+            for c in self.cells()
+        ]
+        for c in self.internal_cells():
+            nodes[c].children = [nodes[k] for k in self.children[c]]
+        return nodes[self.ROOT]
 
     # -- diagnostics -------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Exhaustively re-check the CellTree invariants; raises
-        BrokenCellTree on the first failure."""
+        """Re-check the CellTree invariants; raises BrokenCellTree on the
+        first failure.
+
+        One iterative walk from the root, O(sum of cell sizes) in all.  Per
+        cell it checks that the cell is nonempty, a leaf holds one point, an
+        internal cell has at least two children, and its children name it as
+        parent, are pairwise disjoint, cover it and are ordered by smallest
+        point.  The walk must reach every cell exactly once, which rules out
+        orphan cells, cells listed under two parents and cycles.  The cells
+        then form one tree in which the root holds every point and children
+        partition their parent, so the family is laminar: two cells are
+        nested if one lies below the other, and otherwise they lie below
+        distinct, hence disjoint, children of their lowest common ancestor.
+        """
+        m = self.n_cells
         if self.members[self.ROOT] != frozenset(range(self.n_points)):
             raise BrokenCellTree("root does not hold every point")
-        for c in self.cells():
-            if not self.members[c]:
+        reached = [False] * m
+        reached[self.ROOT] = True
+        stack = [self.ROOT]
+        while stack:
+            c = stack.pop()
+            members = self.members[c]
+            if not members:
                 raise BrokenCellTree(f"empty cell {c}")
             kids = self.children[c]
-            if kids:
-                if len(kids) < 2:
-                    raise BrokenCellTree(f"unary internal node {c}")
-                union: set[int] = set()
-                for k in kids:
-                    if self.parent[k] != c:
-                        raise BrokenCellTree(f"child {k} of {c} has another parent")
-                    if self.members[k] & union:
-                        raise BrokenCellTree(f"overlapping children of {c}")
-                    union |= self.members[k]
-                if union != set(self.members[c]):
-                    raise BrokenCellTree(f"children of {c} do not partition it")
-                mins = [min(self.members[k]) for k in kids]
-                if mins != sorted(mins):
-                    raise BrokenCellTree(f"children of {c} out of order")
-            elif len(self.members[c]) != 1:
-                raise BrokenCellTree(f"leaf {c} with several points")
-        for a in self.cells():
-            for b in self.cells():
-                ma, mb = self.members[a], self.members[b]
-                if not (ma.isdisjoint(mb) or ma <= mb or mb <= ma):
-                    raise BrokenCellTree(f"cells {a} and {b} are not laminar")
-        if self.n_cells > max(1, 2 * self.n_points - 1):
-            raise BrokenCellTree(f"{self.n_cells} cells on {self.n_points} points")
+            if not kids:
+                if len(members) != 1:
+                    raise BrokenCellTree(f"leaf {c} with several points")
+                continue
+            if len(kids) < 2:
+                raise BrokenCellTree(f"unary internal node {c}")
+            union: set[int] = set()
+            for k in kids:
+                if not 0 <= k < m:
+                    raise BrokenCellTree(f"child {k} of {c} is not a cell")
+                if reached[k]:
+                    raise BrokenCellTree(f"cell {k} is reached twice from the root")
+                reached[k] = True
+                if self.parent[k] != c:
+                    raise BrokenCellTree(f"child {k} of {c} has another parent")
+                if self.members[k] & union:
+                    raise BrokenCellTree(f"overlapping children of {c}")
+                union |= self.members[k]
+            if union != members:
+                raise BrokenCellTree(f"children of {c} do not partition it")
+            mins = [min(self.members[k]) for k in kids]
+            if mins != sorted(mins):
+                raise BrokenCellTree(f"children of {c} out of order")
+            stack.extend(kids)
+        if not all(reached):
+            orphan = reached.index(False)
+            raise BrokenCellTree(f"cell {orphan} is not reachable from the root")
+        if m > max(1, 2 * self.n_points - 1):
+            raise BrokenCellTree(f"{m} cells on {self.n_points} points")
 
     def shape_signature(self):
-        """Label-free canonical form; equal signatures = isomorphic trees."""
+        """Label-free canonical form; equal signatures = isomorphic trees.
 
-        def sig(c: int):
-            if self.is_leaf(c):
-                return ()
-            return tuple(sorted(sig(k) for k in self.children[c]))
-
-        return sig(self.ROOT)
+        A leaf's signature is (); an internal cell's is the sorted tuple of
+        its children's signatures.
+        """
+        order = [self.ROOT]
+        for c in order:  # breadth first: every cell after its parent
+            order.extend(self.children[c])
+        sig: dict[int, tuple] = {}
+        for c in reversed(order):
+            sig[c] = tuple(sorted(sig[k] for k in self.children[c]))
+        return sig[self.ROOT]
 
     def isomorphic_to(self, other: "CellTree") -> bool:
         return self.shape_signature() == other.shape_signature()
@@ -294,6 +345,13 @@ def validate_family(points, subsets, strict: bool = True) -> CellTree:
     two members are disjoint or nested, and every singleton is present
     (strict mode) or can be auto-inserted (lenient mode).  Returns the
     canonical CellTree with duplicates collapsed.
+
+    Nesting is decided by the owner pass of ``CellTree._from_member_sets``
+    in O(m log m + sum of cell sizes) for m sets.  Its Overlap pair (a, b)
+    has a processed before b in order of decreasing size, ties by smallest
+    point, then input order; on a family with several overlaps it need not
+    be the first overlapping pair in input order.  Overlap is reported
+    before a missing singleton.
     """
     points = tuple(points)
     if not points:
@@ -315,25 +373,11 @@ def validate_family(points, subsets, strict: bool = True) -> CellTree:
             fam.append(fs)
     if full not in seen:
         raise MissingRoot("family does not contain the full point set")
-    for i, a in enumerate(fam):
-        for b in fam[i + 1 :]:
-            inter = a & b
-            if inter and not (a <= b or b <= a):
-                p = min(inter)
-                q = min((a | b) - inter)
-                raise Overlap(
-                    {points[i] for i in a},
-                    {points[i] for i in b},
-                    (points[p], points[q]),
-                )
-    for i in range(n):
-        single = frozenset({i})
-        if single not in seen:
-            if strict:
-                raise NotABase(points[i])
-            seen.add(single)
-            fam.append(single)
-    return CellTree._from_member_sets(points, fam)
+    missing = [i for i in range(n) if frozenset({i}) not in seen]
+    tree = CellTree._from_member_sets(points, fam + [frozenset({i}) for i in missing])
+    if strict and missing:
+        raise NotABase(points[missing[0]])
+    return tree
 
 
 def cells_of(tree: RootedTree) -> CellTree:
@@ -342,24 +386,17 @@ def cells_of(tree: RootedTree) -> CellTree:
     Unary chains collapse (a vertex and its only child contain the same
     leaves); every leaf must carry a distinct label.
     """
-    leaves = tree.leaves()
-    labels = []
-    for lf in leaves:
-        if lf.label is None:
-            raise DuplicateLeafLabel(None)
-        if lf.label in labels:
-            raise DuplicateLeafLabel(lf.label)
-        labels.append(lf.label)
-    idx = {lab: i for i, lab in enumerate(labels)}
-    fam: set[frozenset[int]] = set()
-
-    def collect(node: RootedTree) -> frozenset[int]:
+    nodes = tree.preorder()
+    idx: dict[str, int] = {}
+    for node in nodes:
         if node.is_leaf():
-            s = frozenset({idx[node.label]})
+            if node.label is None or node.label in idx:
+                raise DuplicateLeafLabel(node.label)
+            idx[node.label] = len(idx)
+    cell: dict[int, frozenset[int]] = {}  # id(vertex) -> leaf indices below it
+    for node in reversed(nodes):  # children before their parent
+        if node.is_leaf():
+            cell[id(node)] = frozenset({idx[node.label]})
         else:
-            s = frozenset().union(*(collect(ch) for ch in node.children))
-        fam.add(s)
-        return s
-
-    collect(tree)
-    return CellTree._from_member_sets(tuple(labels), fam)
+            cell[id(node)] = frozenset().union(*(cell[id(ch)] for ch in node.children))
+    return CellTree._from_member_sets(tuple(idx), cell.values())

@@ -9,13 +9,11 @@ input or usage.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from . import analysis, formats, metrics, quasisym, spaces
-from .celltree import RootedTree
 from .errors import CellSpaceError, FormatError
 
 EXIT_OK = 0
@@ -51,17 +49,6 @@ def _emit(args, text: str, counts: str | None = None) -> None:
 
 
 # -- generate ----------------------------------------------------------------
-
-
-def _tree_from_json_file(path: str) -> RootedTree:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-
-    def parse(o) -> RootedTree:
-        if "point" in o:
-            return RootedTree(label=o["point"])
-        return RootedTree(children=[parse(k) for k in o.get("children", [])])
-
-    return parse(obj.get("root", obj))
 
 
 def cmd_generate(args) -> int:
@@ -101,7 +88,8 @@ def cmd_generate(args) -> int:
             tree = spaces.ray_space(spaces.complete_tree(arity, depth))
             generator = {"kind": "ray", "complete": [arity, depth]}
         elif args.tree:
-            tree = spaces.ray_space(_tree_from_json_file(args.tree))
+            text = Path(args.tree).read_text(encoding="utf-8")
+            tree = spaces.ray_space(formats.load_tree(text))
             generator = {"kind": "ray"}
         else:
             raise CellSpaceError("ray needs --complete N,L or --tree FILE")

@@ -109,8 +109,7 @@ def _parse_node(obj, path="root") -> RootedTree:
     return node
 
 
-def load_space(text_or_obj, strict: bool = True) -> LoadedSpace:
-    """Parse a cellspace-v1 document (tree form or family form)."""
+def _document(text_or_obj) -> dict:
     if isinstance(text_or_obj, str):
         try:
             obj = json.loads(text_or_obj)
@@ -122,6 +121,44 @@ def load_space(text_or_obj, strict: bool = True) -> LoadedSpace:
         raise FormatError("document must be a JSON object")
     if obj.get("format", FORMAT_NAME) != FORMAT_NAME:
         raise FormatError(f"unknown format {obj.get('format')!r}")
+    return obj
+
+
+def _root_obj(obj: dict):
+    return obj.get("root", obj if ("children" in obj or "point" in obj) else None)
+
+
+_TOO_DEEP = (
+    "tree nested too deeply for the nested form; "
+    'write it in the flat family form {"points": [...], "cells": [[...], ...]}'
+)
+
+
+def load_tree(text_or_obj) -> RootedTree:
+    """Parse the rooted tree of a tree-form document or a bare node."""
+    try:
+        root_obj = _root_obj(_document(text_or_obj))
+        if root_obj is None:
+            raise FormatError("document has no root node")
+        return _parse_node(root_obj)
+    except RecursionError:
+        raise FormatError(_TOO_DEEP) from None
+
+
+def load_space(text_or_obj, strict: bool = True) -> LoadedSpace:
+    """Parse a cellspace-v1 document (tree form or family form).
+
+    The tree form is parsed recursively, so nesting beyond the interpreter's
+    recursion limit is a FormatError; the family form has no nesting.
+    """
+    try:
+        return _load_space(text_or_obj, strict)
+    except RecursionError:
+        raise FormatError(_TOO_DEEP) from None
+
+
+def _load_space(text_or_obj, strict: bool) -> LoadedSpace:
+    obj = _document(text_or_obj)
     generator = obj.get("generator")
     if "points" in obj and "cells" in obj:
         try:
@@ -129,9 +166,14 @@ def load_space(text_or_obj, strict: bool = True) -> LoadedSpace:
             cells = [frozenset(int(i) for i in cell) for cell in obj["cells"]]
         except (TypeError, ValueError) as e:
             raise FormatError(f"bad family listing: {e}") from None
+        for cell in cells:
+            if cell and (min(cell) < 0 or max(cell) >= len(points)):
+                raise FormatError(
+                    f"cell {sorted(cell)} has a point index outside 0..{len(points) - 1}"
+                )
         tree = validate_family(points, cells, strict=strict)
         return LoadedSpace(tree, None, None, None, generator)
-    root_obj = obj.get("root", obj if ("children" in obj or "point" in obj) else None)
+    root_obj = _root_obj(obj)
     if root_obj is None:
         raise FormatError("document has neither a root node nor a family listing")
     rooted = _parse_node(root_obj)

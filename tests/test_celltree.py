@@ -78,6 +78,39 @@ def test_check_invariants_raises_on_broken_tree(how, message):
     assert isinstance(exc.value, CellSpaceError)
 
 
+def _miswire(how: str) -> CellTree:
+    if how == "orphan":
+        # a star on three points plus a leaf {0} that no cell lists; the cell
+        # count stays within 2n - 1, so only the walk from the root sees it
+        t = product_space(ProductSpec((3,)))
+        return replace(
+            t,
+            members=t.members + (frozenset({0}),),
+            parent=t.parent + (0,),
+            children=t.children + ((),),
+            depth=t.depth + (1,),
+        )
+    # cells of the 2x2 product: 0 root, 1 {0,1}, 2 {0}, 3 {1}, 4 {2,3}, 5 {2}, 6 {3}
+    t = product_space(ProductSpec((2, 2)))
+    children = list(t.children)
+    if how == "two parents":
+        children[1] = (2, 3, 5)  # {2} also under {0,1}
+    elif how == "cycle":
+        children[4] = (5, 6, 0)  # {2,3} lists the root
+    else:
+        raise AssertionError(how)
+    return replace(t, children=tuple(children))
+
+
+@pytest.mark.parametrize(
+    "how, message",
+    [("orphan", "not reachable"), ("two parents", "reached twice"), ("cycle", "reached twice")],
+)
+def test_check_invariants_walk_reaches_every_cell_once(how, message):
+    with pytest.raises(BrokenCellTree, match=message):
+        _miswire(how).check_invariants()
+
+
 def test_validate_family_overlap_witness():
     with pytest.raises(Overlap) as exc:
         validate_family(["1", "2", "3"], [{0, 1, 2}, {0, 1}, {1, 2}, {0}, {1}, {2}])
@@ -341,6 +374,28 @@ def test_cells_of_collapses_unary_chains():
     )
     t = cells_of(chain)
     assert t.n_cells == 3
+
+
+def _caterpillar(levels: int) -> RootedTree:
+    """Each internal vertex has a leaf and one deeper internal vertex."""
+    node = RootedTree(children=[RootedTree(label="a"), RootedTree(label="b")])
+    for i in range(levels - 1):
+        node = RootedTree(children=[RootedTree(label=f"x{i}"), node])
+    return node
+
+
+def test_deep_caterpillar_round_trip_and_signature():
+    # far beyond the interpreter's recursion limit
+    rooted = _caterpillar(2000)
+    assert len(rooted.leaves()) == 2001
+    t = cells_of(rooted)
+    assert t.n_points == 2001 and t.n_cells == 4001
+    assert max(t.depth) == 2000
+    t.check_invariants()
+    assert cells_of(t.tree_of()) == t
+    sig = t.shape_signature()
+    assert sig[0] == ()
+    assert t.decompose_clopen(t.points[1:]) == [t.children[t.ROOT][1]]
 
 
 def test_round_trip_random_regression():

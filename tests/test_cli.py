@@ -191,6 +191,53 @@ def test_validate_interval_non_integer_part_is_malformed(tmp_path, capsys):
     assert err.startswith("malformed input:") and "integers" in err
 
 
+def test_validate_family_index_out_of_range_is_malformed(tmp_path, capsys):
+    for bad in (5, -1):
+        f = tmp_path / "oor.json"
+        f.write_text(json.dumps({"points": ["a", "b"], "cells": [[0, 1], [0], [1], [bad]]}))
+        code, stdout, err = _run(capsys, "validate", str(f))
+        assert code == 2 and stdout == ""
+        assert err.startswith("malformed input:") and "outside 0..1" in err
+
+
+def _caterpillar_family(levels: int) -> dict:
+    """Family form of a caterpillar: cell k holds points k..levels."""
+    points = [f"p{i}" for i in range(levels + 1)]
+    cells = [list(range(k, levels + 1)) for k in range(levels)]
+    cells += [[i] for i in range(levels + 1)]
+    return {"format": "cellspace-v1", "points": points, "cells": cells}
+
+
+def test_validate_deep_caterpillar_family_form(tmp_path, capsys):
+    f = tmp_path / "cat.json"
+    f.write_text(json.dumps(_caterpillar_family(2000)))
+    code, stdout, _ = _run(capsys, "validate", str(f))
+    assert code == 0
+    assert stdout == "OK: points=2001 cells=4001 checks=structure\n"
+
+
+def test_validate_deep_nested_tree_is_malformed(tmp_path, capsys):
+    node = '{"point":"p2000"}'
+    for i in reversed(range(2000)):
+        node = '{"children":[{"point":"p%d"},%s]}' % (i, node)
+    f = tmp_path / "deep.json"
+    f.write_text('{"format":"cellspace-v1","root":' + node + "}")
+    for argv in (["validate", str(f)], ["generate", "ray", "--tree", str(f)]):
+        code, stdout, err = _run(capsys, *argv)
+        assert code == 2 and stdout == ""
+        assert err.startswith("malformed input:") and "family form" in err
+        assert "Traceback" not in err
+
+
+def test_generate_ray_tree_file_is_parsed_like_a_space(tmp_path, capsys):
+    f = tmp_path / "tree.json"
+    for doc in ({"children": []}, {"children": [{"point": 1}]}, [1]):
+        f.write_text(json.dumps(doc))
+        code, stdout, err = _run(capsys, "generate", "ray", "--tree", str(f))
+        assert code == 2 and stdout == ""
+        assert err.startswith("malformed input:")
+
+
 def test_validate_missing_file(capsys):
     code, _, err = _run(capsys, "validate", "/nonexistent/x.json")
     assert code == 2
