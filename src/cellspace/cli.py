@@ -22,7 +22,7 @@ EXIT_USAGE = 2
 
 
 def _fracs(text: str) -> list[Fraction]:
-    return [Fraction(part) for part in text.split(",") if part]
+    return [formats.parse_frac(part) for part in text.split(",") if part]
 
 
 def _ints(text: str) -> list[int]:
@@ -163,9 +163,9 @@ def _metric_spec_geometry(spec: str, tree, embedding=None, weights=None):
             raise CellSpaceError("metric 'weights' needs weights in the file")
         w = weights
     elif spec.startswith("reg:"):
-        w = analysis.synthesize_regular_weight(tree, Fraction(spec[4:]))
+        w = analysis.synthesize_regular_weight(tree, formats.parse_frac(spec[4:]))
     elif spec.startswith("geo:"):
-        base = Fraction(spec[4:])
+        base = formats.parse_frac(spec[4:])
         depth = max(tree.depth[c] for c in tree.leaves())
         w = metrics.weight_from_sequence(tree, [base**i for i in range(depth + 1)])
     elif spec.startswith("seq:"):
@@ -258,7 +258,7 @@ def _regenerate(generator: dict, depth: int):
     if kind == "fat-cantor":
         thetas = generator.get("thetas")
         if thetas is not None:
-            thetas = [Fraction(t) for t in thetas]
+            thetas = [formats.parse_frac(t) for t in thetas]
             if len(thetas) != depth:
                 raise CellSpaceError(
                     "explicit theta schedule does not cover the requested depth"
@@ -277,6 +277,8 @@ def cmd_distortion(args) -> int:
     depths = _ints(args.depths)
     if len(depths) < 2:
         raise CellSpaceError("need at least two --depths")
+    if not args.tol >= 0:
+        raise CellSpaceError(f"--tol must be nonnegative, got {args.tol}")
     grid = parse_grid(args.grid)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

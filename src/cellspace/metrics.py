@@ -34,9 +34,12 @@ class MetricTable:
     """Symmetric distance matrix over labeled points.
 
     Entries are exact Fractions by default; imported float tables carry an
-    explicit comparison tolerance.  The exhaustive triple checks scan exact
-    tables as integers over their common denominator, in int64 when it fits
-    and as Python ints otherwise, so every verdict is exact.
+    explicit comparison tolerance.  Every exact comparison reads one cached
+    kernel, `kernel`: the table as a read-only numpy array, built once per
+    table.  Exact tables are rescaled over their common denominator, in
+    int64 when it fits and as Python ints otherwise, so every verdict is
+    exact; float tables are float64.  `ultrametric_from_weight` fills the
+    kernel directly from the cell weights.
     """
 
     labels: tuple[str, ...]
@@ -69,14 +72,26 @@ class MetricTable:
         return self.rows[self.index(x)][self.index(y)]
 
     @property
-    def float_rows(self):
-        """Float view of the table, cached; selection aid only, never used
-        where exactness matters."""
-        fr = self.__dict__.get("_float_rows_cache")
-        if fr is None:
-            fr = [[float(v) for v in row] for row in self.rows]
-            self.__dict__["_float_rows_cache"] = fr
-        return fr
+    def kernel(self) -> np.ndarray:
+        """The exact kernel: same order as `rows`, built on first use."""
+        mat = self.__dict__.get("_kernel_cache")
+        if mat is None:
+            mat = self._keep_kernel(_exact_matrix(self))
+        return mat
+
+    def _keep_kernel(self, mat: np.ndarray) -> np.ndarray:
+        mat.flags.writeable = False
+        self.__dict__["_kernel_cache"] = mat
+        return mat
+
+    def value_codes(self) -> tuple[list, np.ndarray]:
+        """Distinct entries in increasing order, as the original objects, and
+        the n x n array of their indices.  Computed from the kernel on each
+        call; nothing is kept on the table."""
+        mat = self.kernel
+        _, first, codes = np.unique(mat, return_index=True, return_inverse=True)
+        values = [self.rows[f // self.n][f % self.n] for f in first.tolist()]
+        return values, codes.reshape(mat.shape)
 
     def scale(self, c) -> "MetricTable":
         c = Fraction(c) if self.exact else float(c)
@@ -119,8 +134,8 @@ class MetricVerdict:
     witness: tuple
 
 
-def _exact_matrix(table: MetricTable):
-    """The table as a numpy array whose comparisons are exact.
+def _exact_matrix(table: MetricTable) -> np.ndarray:
+    """Build the table's kernel from its rows.
 
     Exact tables are rescaled over their common denominator: int64 when
     every sum of two entries fits, otherwise an object array of Python
@@ -131,13 +146,18 @@ def _exact_matrix(table: MetricTable):
     den = lcm(*{v.denominator for row in table.rows for v in row})
     scaled = [[v.numerator * (den // v.denominator) for v in row] for row in table.rows]
     mx = max((abs(v) for row in scaled for v in row), default=0)
-    return np.array(scaled, dtype=np.int64 if 2 * mx < _INT64_LIMIT else object)
+    return np.array(scaled, dtype=_int_dtype(mx))
+
+
+def _int_dtype(mx: int):
+    """int64 when sums of two values of magnitude `mx` fit, else object."""
+    return np.int64 if 2 * mx < _INT64_LIMIT else object
 
 
 def _first_violation(table: MetricTable, combine):
     """Lexicographically smallest (x, z, y) with
     d(x, z) > combine(d(x, y), d(y, z)) (+ tol on float tables), or None."""
-    mat = _exact_matrix(table)
+    mat = table.kernel
     cols = mat.T  # cols[z, y] = d(y, z); tables need not be symmetric
     for x in range(table.n):
         bound = combine(mat[x][None, :], cols)
@@ -207,22 +227,54 @@ def weight_from_sequence(tree: CellTree, rho_seq) -> WeightFn:
 
 def ultrametric_from_weight(tree: CellTree, w: WeightFn) -> MetricTable:
     """d(x, y) = weight of the minimal cell containing x and y; 0 on the
-    diagonal.  Satisfies the strong triangle inequality by construction."""
+    diagonal.  Satisfies the strong triangle inequality by construction.
+
+    The minimal cells are filled in block by block, one block per pair of
+    sibling cells; the rows and the table's kernel are both read off that
+    one cell matrix, so the kernel needs no rescaling of the rows.
+    """
     if w.tree is not tree and w.tree != tree:
         raise ValueError("weight function belongs to a different tree")
     n = tree.n_points
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    order, runs = _leaf_order(tree)
+    cell = np.empty((n, n), dtype=np.intp)  # minimal common cell, in leaf order
     for c in tree.internal_cells():
-        v = w[c]
+        kids = [runs[k] for k in tree.children[c]]
+        for a, ra in enumerate(kids):
+            for rb in kids[a + 1 :]:
+                cell[ra, rb] = c
+                cell[rb, ra] = c
+    cell[np.arange(n), np.arange(n)] = np.array(tree.leaf_of)[order]
+    at = np.argsort(order)  # position of each point in leaf order
+    cell = cell[np.ix_(at, at)]
+    zero = Fraction(0)
+    values = [zero if tree.is_leaf(c) else w[c] for c in tree.cells()]
+    den = lcm(*{v.denominator for v in values})
+    scaled = [v.numerator * (den // v.denominator) for v in values]
+    kernel = np.array(scaled, dtype=_int_dtype(max(map(abs, scaled))))[cell]
+    rows = tuple(map(tuple, np.array(values, dtype=object)[cell].tolist()))
+    table = MetricTable(tree.points, rows)
+    table._keep_kernel(kernel)
+    return table
+
+
+def _leaf_order(tree: CellTree) -> tuple[np.ndarray, list[slice]]:
+    """Points in the order of a preorder walk of the tree, and each cell's
+    run in that order.  Every cell is one contiguous run, so the block
+    between two sibling cells is a basic slice of a matrix permuted into
+    leaf order."""
+    order: list[int] = []
+    runs: list = [None] * tree.n_cells
+    stack = [tree.ROOT]
+    while stack:
+        c = stack.pop()
+        runs[c] = slice(len(order), len(order) + len(tree.members[c]))
         kids = tree.children[c]
-        for a in range(len(kids)):
-            ma = tree.members[kids[a]]
-            for b in range(a + 1, len(kids)):
-                for i in ma:
-                    for j in tree.members[kids[b]]:
-                        rows[i][j] = v
-                        rows[j][i] = v
-    return MetricTable(tree.points, tuple(tuple(r) for r in rows))
+        if kids:
+            stack.extend(reversed(kids))
+        else:
+            order.extend(tree.members[c])
+    return np.array(order, dtype=np.intp), runs
 
 
 @dataclass(frozen=True)
@@ -283,7 +335,10 @@ class Geometry:
         if self._hulls is not None:
             (l1, r1), (l2, r2) = self._hulls[c1], self._hulls[c2]
             gap = l2 - r1 if l1 <= l2 else l1 - r2
-            assert gap >= 0, "disjoint cells with overlapping hulls"
+            if gap < 0:
+                raise OverlappingCells(
+                    f"cells {c1} and {c2} are disjoint but their hulls overlap"
+                )
             return gap
         best = None
         for i in self.tree.members[c1]:
@@ -296,23 +351,33 @@ class Geometry:
 
     @classmethod
     def from_table(cls, tree: CellTree, table: MetricTable) -> "Geometry":
+        """Cell diameters as the largest entry between sibling cells.
+
+        The maxima are taken on the table's kernel permuted into leaf order,
+        one block per pair of sibling cells.  Each diameter is the `rows`
+        entry at the maximum, so values and types are those of the table.
+        """
         if tuple(table.labels) != tuple(tree.points):
             raise PointSetMismatch("table labels differ from tree points")
+        order, runs = _leaf_order(tree)
+        mat = table.kernel[np.ix_(order, order)]
         diams = [Fraction(0) if table.exact else 0.0] * tree.n_cells
+        keys = [mat.dtype.type(0)] * tree.n_cells  # kernel value of each diameter
         for c in sorted(tree.cells(), key=lambda c: -tree.depth[c]):
             kids = tree.children[c]
             if not kids:
                 continue
-            best = max(diams[k] for k in kids)
-            for a in range(len(kids)):
-                ma = tree.members[kids[a]]
-                for b in range(a + 1, len(kids)):
-                    for i in ma:
-                        row = table.rows[i]
-                        for j in tree.members[kids[b]]:
-                            if row[j] > best:
-                                best = row[j]
-            diams[c] = best
+            top = max(kids, key=keys.__getitem__)
+            best, key = diams[top], keys[top]
+            kid_runs = [runs[k] for k in kids]
+            for a, ra in enumerate(kid_runs):
+                for rb in kid_runs[a + 1 :]:
+                    block = mat[ra, rb]
+                    u, v = divmod(int(block.argmax()), block.shape[1])
+                    if block[u, v] > key:
+                        key = block[u, v]
+                        best = table.rows[order[ra.start + u]][order[rb.start + v]]
+            diams[c], keys[c] = best, key
         return cls(tree, table, "table", tuple(diams))
 
     @classmethod

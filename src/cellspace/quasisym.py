@@ -15,6 +15,8 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import GridTooCoarse, PointSetMismatch
 from .metrics import MetricTable
 
@@ -51,6 +53,16 @@ def distortion_profile(
 ) -> DistortionProfile:
     """Exact profile up to `cap` points; stratified sampling beyond.
 
+    Both paths read the tables through their cached exact kernels: each
+    distinct distance gets an integer code (`MetricTable.value_codes`),
+    each ratio is computed once per pair of codes from the original
+    entries, and pairs are counted under their codes.  The exact path
+    groups, for each x, the other points by their pair of codes and counts
+    the triples of a pair of groups at once, so it costs sum over x of
+    k_x^2, where k_x is the number of groups, rather than n^3.  Witnesses
+    are the lexicographically smallest (x, y, z) of each pair, and pairs
+    appear in the order of their witnesses.
+
     Sampling stratifies triples by value classes of both metrics (distinct
     values when few, geometric bins otherwise) and keeps extreme and seeded
     candidates per class, so rare extreme ratio pairs are still observed.
@@ -64,121 +76,159 @@ def distortion_profile(
     return _sampled_profile(d, dt, seed)
 
 
-def _exact_profile(d: MetricTable, dt: MetricTable) -> DistortionProfile:
-    n = d.n
-    pairs: dict = {}
-    rdiv: dict = {}
-    sdiv: dict = {}
-    count = 0
-    for x in range(n):
-        rowd = d.rows[x]
-        rowt = dt.rows[x]
-        for y in range(n):
-            if y == x:
-                continue
-            dxy = rowd[y]
-            txy = rowt[y]
-            for z in range(n):
-                if z == x:
-                    continue
-                count += 1
-                kr = (dxy, rowd[z])
-                r = rdiv.get(kr)
-                if r is None:
-                    r = dxy / rowd[z]
-                    rdiv[kr] = r
-                ks = (txy, rowt[z])
-                s = sdiv.get(ks)
-                if s is None:
-                    s = txy / rowt[z]
-                    sdiv[ks] = s
-                got = pairs.get((r, s))
-                if got is None:
-                    pairs[(r, s)] = [1, (d.labels[x], d.labels[y], d.labels[z])]
-                else:
-                    got[0] += 1
-    return DistortionProfile(tuple(d.labels), pairs, False, count)
+class _Ratios:
+    """Codes of the distinct ratios of one table's values, computed once per
+    pair of value codes."""
+
+    def __init__(self, values: list):
+        self.values = values
+        self._k = len(values)
+        self._by_pair: dict = {}  # a * k + b -> ratio code
+        self._by_value: dict = {}  # ratio -> ratio code
+        self.ratios: list = []  # ratio code -> ratio
+
+    def code(self, a: int, b: int) -> int:
+        key = a * self._k + b
+        got = self._by_pair.get(key)
+        if got is None:
+            r = self.values[a] / self.values[b]
+            got = self._by_value.setdefault(r, len(self.ratios))
+            if got == len(self.ratios):
+                self.ratios.append(r)
+            self._by_pair[key] = got
+        return got
 
 
-def _value_bins(table: MetricTable):
-    """Map each positive distance (as float) to a class id: identity on
-    distinct values when there are few, geometric binning otherwise."""
-    vals = sorted(
-        {
-            table.float_rows[i][j]
-            for i in range(table.n)
-            for j in range(table.n)
-            if i != j
+class _PairCounts:
+    """(r, s) pairs keyed by ratio codes, with counts and first witnesses."""
+
+    def __init__(self, d: MetricTable, dt: MetricTable):
+        self.labels = tuple(d.labels)
+        d_values, self.d_codes = d.value_codes()
+        t_values, self.t_codes = dt.value_codes()
+        self.r = _Ratios(d_values)
+        self.s = _Ratios(t_values)
+        self.found: dict = {}  # (r code, s code) -> [count, (x, y, z)]
+        self.triples = 0
+
+    def add(self, key: tuple, count: int, x: int, y: int, z: int) -> None:
+        self.triples += count
+        got = self.found.get(key)
+        if got is None:
+            self.found[key] = [count, (x, y, z)]
+        else:
+            got[0] += count
+
+    def profile(self, sampled: bool) -> DistortionProfile:
+        rs, ss, lab = self.r.ratios, self.s.ratios, self.labels
+        pairs = {
+            (rs[a], ss[b]): [count, (lab[x], lab[y], lab[z])]
+            for (a, b), (count, (x, y, z)) in self.found.items()
         }
-    )
+        return DistortionProfile(lab, pairs, sampled, self.triples)
+
+
+def _exact_profile(d: MetricTable, dt: MetricTable) -> DistortionProfile:
+    counts = _PairCounts(d, dt)
+    dc, tc = counts.d_codes, counts.t_codes
+    width = len(counts.s.values)
+    for x in range(d.n):
+        key = dc[x] * width + tc[x]
+        key[x] = -1  # y = x is no triple; its group sorts first
+        _, first, size = np.unique(key, return_index=True, return_counts=True)
+        order = np.argsort(first[1:]) + 1
+        ys = first[order]
+        groups = list(
+            zip(ys.tolist(), size[order].tolist(), dc[x, ys].tolist(), tc[x, ys].tolist())
+        )
+        # groups run in order of their lowest point, so each pair is first
+        # met at its lexicographically smallest (y, z)
+        for y, ny, ay, by in groups:
+            for z, nz, az, bz in groups:
+                counts.add((counts.r.code(ay, az), counts.s.code(by, bz)), ny * nz, x, y, z)
+    return counts.profile(False)
+
+
+def _value_bins(floats: list, codes: np.ndarray) -> np.ndarray:
+    """Class id of each value code: identity on the distinct off-diagonal
+    floats when there are few, geometric binning otherwise.  Values found
+    only on the diagonal get class -1."""
+    seen = np.bincount(codes.ravel(), minlength=len(floats))
+    seen -= np.bincount(np.diagonal(codes), minlength=len(floats))
+    used = np.flatnonzero(seen).tolist()
+    vals = sorted({floats[c] for c in used})
+    bins = [-1] * len(floats)
     if len(vals) <= 64:
         lookup = {v: k for k, v in enumerate(vals)}
-        return lookup.__getitem__
-    lo = math.log(vals[0])
-    hi = math.log(vals[-1])
-    span = hi - lo or 1.0
-
-    def bin_of(v):
-        k = int((math.log(v) - lo) / span * _N_BINS)
-        return min(max(k, 0), _N_BINS - 1)
-
-    return bin_of
+        for c in used:
+            bins[c] = lookup[floats[c]]
+    else:
+        lo = math.log(vals[0])
+        hi = math.log(vals[-1])
+        span = hi - lo or 1.0
+        for c in used:
+            k = int((math.log(floats[c]) - lo) / span * _N_BINS)
+            bins[c] = min(max(k, 0), _N_BINS - 1)
+    return np.array(bins, dtype=np.intp)
 
 
 def _sampled_profile(d: MetricTable, dt: MetricTable, seed: int) -> DistortionProfile:
     n = d.n
     rng = random.Random(seed)
-    pairs: dict = {}
-    count = 0
+    counts = _PairCounts(d, dt)
+    dc, tc = counts.d_codes, counts.t_codes
 
     def add(x, y, z):
-        nonlocal count
-        r = d.rows[x][y] / d.rows[x][z]
-        s = dt.rows[x][y] / dt.rows[x][z]
-        got = pairs.get((r, s))
-        count += 1
-        if got is None:
-            pairs[(r, s)] = [1, (d.labels[x], d.labels[y], d.labels[z])]
-        else:
-            got[0] += 1
+        key = (
+            counts.r.code(int(dc[x, y]), int(dc[x, z])),
+            counts.s.code(int(tc[x, y]), int(tc[x, z])),
+        )
+        counts.add(key, 1, x, y, z)
 
     add(0, 1, 1)  # (1, 1) is realized whenever there are two points
     order = list(range(n))
     rng.shuffle(order)
-    for which, binning in ((0, d), (1, dt)):
-        other = dt if which == 0 else d
-        bin_of = _value_bins(binning)
-        quota: dict = {}
+    # float views: one float() per distinct value
+    d_floats = np.array([float(v) for v in counts.r.values])
+    t_floats = np.array([float(v) for v in counts.s.values])
+    passes = ((dc, d_floats, tc, t_floats), (tc, t_floats, dc, d_floats))
+    for which, (bin_codes, b_floats, other_codes, o_floats) in enumerate(passes):
+        bins = _value_bins(b_floats.tolist(), bin_codes)
+        quota = np.zeros((int(bins.max()) + 1,) * 2, dtype=np.intp)
+        classes = np.unique(bins[bins >= 0])
+        every_stratum = (classes[:, None], classes)
         for x in order:
-            groups: dict = {}
-            row_b = binning.float_rows[x]
-            row_o = other.float_rows[x]
-            for y in range(n):
-                if y != x:
-                    groups.setdefault(bin_of(row_b[y]), []).append(y)
-            cands = {}
-            for b, ys in groups.items():
-                # extreme in either metric, so rare extreme ratios are seen
-                chosen = {
-                    min(ys, key=lambda y: (row_b[y], y)),
-                    max(ys, key=lambda y: (row_b[y], -y)),
-                    min(ys, key=lambda y: (row_o[y], y)),
-                    max(ys, key=lambda y: (row_o[y], -y)),
-                }
-                for _ in range(_SEEDED_EXTRAS):
-                    chosen.add(ys[rng.randrange(len(ys))])
-                cands[b] = sorted(chosen)
-            bins = sorted(groups)
-            for b1 in bins:
-                for b2 in bins:
-                    key = (which, b1, b2)
-                    if quota.get(key, 0) >= _STRATUM_CENTERS:
-                        continue
-                    quota[key] = quota.get(key, 0) + 1
-                    for y in cands[b1]:
-                        for z in cands[b2]:
-                            add(x, y, z)
-    return DistortionProfile(tuple(d.labels), pairs, True, count)
+            row_bins = bins[bin_codes[x]]
+            row_bins[x] = np.iinfo(np.intp).max  # sorts last, then dropped
+            perm = np.argsort(row_bins, kind="stable")[:-1]  # by class, then y
+            sorted_bins = row_bins[perm]
+            starts = np.flatnonzero(np.r_[True, sorted_bins[1:] != sorted_bins[:-1]])
+            sizes = np.diff(np.r_[starts, n - 1]).tolist()
+            # one seeded draw per class, classes in order of their lowest y
+            seeded = [None] * len(starts)
+            for g in np.argsort(perm[starts]).tolist():
+                seeded[g] = [rng.randrange(sizes[g]) for _ in range(_SEEDED_EXTRAS)]
+            ids = sorted_bins[starts]
+            stratum = (ids[:, None], ids)
+            todo = quota[stratum] < _STRATUM_CENTERS
+            if not todo.any():
+                continue
+            quota[stratum] += todo
+            b_row, o_row = b_floats[bin_codes[x]], o_floats[other_codes[x]]
+            cands = []
+            for start, size, draws in zip(starts.tolist(), sizes, seeded):
+                ys = perm[start : start + size]  # increasing, so ties go to the lowest y
+                b, o = b_row[ys], o_row[ys]
+                # extremes in either metric, so rare extreme ratios are seen
+                chosen = {b.argmin(), b.argmax(), o.argmin(), o.argmax(), *draws}
+                cands.append(sorted(int(ys[k]) for k in chosen))
+            for g1, g2 in zip(*np.nonzero(todo)):
+                for y in cands[g1]:
+                    for z in cands[g2]:
+                        add(x, y, z)
+            if which == len(passes) - 1 and (quota[every_stratum] >= _STRATUM_CENTERS).all():
+                break  # every stratum is full: the draws left change nothing
+    return counts.profile(True)
 
 
 class _Envelope:
@@ -202,7 +252,6 @@ class _Envelope:
                 self.r_steps.append(r)
                 self.h_vals.append(best)
                 self.h_wits.append(best_w)
-        assert all(a <= b for a, b in zip(self.h_vals, self.h_vals[1:]))
 
     def at(self, t):
         k = bisect_right(self.r_steps, t)

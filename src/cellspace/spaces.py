@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .celltree import CellTree, RootedTree, cells_of
-from .errors import BadAlphabetSize, BadProportion
+from .errors import BadAlphabetSize, BadProportion, BrokenCellTree
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,8 @@ def product_space(spec: ProductSpec) -> CellTree:
         )
 
     tree = cells_of(node(()))
-    assert tree.points == tuple(labels)
+    if tree.points != tuple(labels):
+        raise BrokenCellTree("product tree points are not the coordinate strings")
     return tree
 
 

@@ -374,3 +374,37 @@ def test_cli_byte_determinism(tmp_path, capsys):
             blob += (outdir / name).read_bytes()
         results.append(blob)
     assert results[0] == results[1]
+
+
+def test_zero_denominator_rationals_are_malformed(tmp_path, capsys):
+    f = tmp_path / "p.json"
+    _run(capsys, "generate", "product", "--sizes", "2,2", "--out", str(f))
+    outdir = str(tmp_path / "dist")
+    cases = [
+        ("distortion", str(f), "geo:1/2", "geo:1/3", "--depths", "3,4", "--grid", "1/0"),
+        ("distortion", str(f), "geo:1/0", "geo:1/3", "--depths", "3,4"),
+        ("distortion", str(f), "geo:1/2", "reg:1/0", "--depths", "3,4"),
+        ("distortion", str(f), "seq:1,1/0", "geo:1/3", "--depths", "3,4"),
+        ("analyze", str(f), "--metric", "seq:1,1/0"),
+        ("generate", "fat-cantor", "--depth", "2", "--theta", "1/0,1/3"),
+    ]
+    for argv in cases:
+        if argv[0] == "distortion":
+            argv += ("--out", outdir)
+        code, out, err = _run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("malformed input: bad rational"), (argv, err)
+        assert "Traceback" not in err
+
+
+def test_distortion_rejects_negative_tol(tmp_path, capsys):
+    f = tmp_path / "p.json"
+    _run(capsys, "generate", "product", "--sizes", "2,2", "--out", str(f))
+    for tol in ("-1", "nan"):
+        code, out, err = _run(
+            capsys,
+            "distortion", str(f), "geo:1/2", "geo:1/3", "--depths", "3,4",
+            "--tol", tol, "--out", str(tmp_path / "dist"),
+        )
+        assert code == 2
+        assert out == "" and "--tol must be nonnegative" in err

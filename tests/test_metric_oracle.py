@@ -6,7 +6,9 @@ are the plain triple loops over the table entries; the property tests
 compare verdict, reason, witness and slack (value and type) on generated
 tables of three kinds: small common denominators (int64 scan), wide ones
 whose rescaled integers overflow int64 (Python-int scan), and float tables
-with a tolerance.  Symmetric and asymmetric tables are both drawn.
+with a tolerance.  Symmetric and asymmetric tables are both drawn.  The
+cell diameters of `Geometry.from_table`, taken on the table kernel, are
+compared the same way with the loop over pairs of sibling cells.
 """
 
 from fractions import Fraction as F
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellspace import MetricTable, validate_ultrametric
+from cellspace import Geometry, MetricTable, random_laminar, validate_ultrametric
 from cellspace.metrics import MetricVerdict, UltrametricVerdict, _exact_matrix
 
 WIDE_DENOMINATORS = (2**63 + 1, 3**41, 2**64 - 59)
@@ -64,6 +66,23 @@ def ref_validate_ultrametric(t: MetricTable) -> UltrametricVerdict:
                         slack=dxz - bound,
                     )
     return UltrametricVerdict(True)
+
+
+def ref_from_table_diams(tree, t: MetricTable) -> list:
+    diams = [F(0) if t.exact else 0.0] * tree.n_cells
+    for c in sorted(tree.cells(), key=lambda c: -tree.depth[c]):
+        kids = tree.children[c]
+        if not kids:
+            continue
+        best = max(diams[k] for k in kids)
+        for a in range(len(kids)):
+            for b in range(a + 1, len(kids)):
+                for i in tree.members[kids[a]]:
+                    for j in tree.members[kids[b]]:
+                        if t.rows[i][j] > best:
+                            best = t.rows[i][j]
+        diams[c] = best
+    return diams
 
 
 @st.composite
@@ -156,3 +175,16 @@ def test_wide_tables_decide_near_ties_exactly():
     assert not v.ok and v.witness == ("a", "c", "b")
     u = validate_ultrametric(t)
     assert u.witness == ("a", "c", "b") and u.slack == 1 + eps
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@ORACLE
+@given(data=st.data())
+def test_from_table_diameters_match_pair_loop(kind, data):
+    t = data.draw(tables(kind))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    tree = random_laminar(seed, data.draw(st.integers(2, 4)), 8, t.n)
+    got = [Geometry.from_table(tree, t).diam(c) for c in tree.cells()]
+    want = ref_from_table_diams(tree, t)
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]

@@ -6,6 +6,7 @@ interval geometry, the ball-cell correspondence in both directions, and
 strict diameter monotonicity.
 """
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -178,6 +179,19 @@ def test_interval_geometry_values():
     assert cell_separation(g, a, b) == F(1, 3)
     with pytest.raises(OverlappingCells):
         cell_separation(g, tree.ROOT, a)
+
+
+def test_separation_rejects_disjoint_cells_with_overlapping_hulls():
+    tree, emb = cantor(2)
+    g = Geometry.from_intervals(tree, emb)
+    a, b = tree.children[tree.ROOT]
+    hulls = list(g._hulls)
+    hulls[b] = (F(1, 4), F(1))  # starts inside a's hull [0, 1/3]
+    broken = dataclasses.replace(g, _hulls=tuple(hulls))
+    with pytest.raises(OverlappingCells, match="hulls overlap"):
+        broken.separation(a, b)
+    with pytest.raises(OverlappingCells, match="hulls overlap"):
+        broken.separation(b, a)
 
 
 def test_drho_diameter_equals_weight():

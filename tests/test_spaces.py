@@ -21,7 +21,7 @@ from cellspace import (
     validate_family,
 )
 from cellspace.celltree import RootedTree
-from cellspace.errors import BadAlphabetSize, BadProportion
+from cellspace.errors import BadAlphabetSize, BadProportion, BrokenCellTree
 from cellspace.spaces import default_fat_thetas
 
 
@@ -194,3 +194,13 @@ def test_round_trip_through_rays():
     t = random_laminar(42, n_points=12)
     assert cells_of(t.tree_of()) == t
     assert ray_space(t.tree_of()) == t
+
+
+def test_product_space_raises_when_points_miss_the_coordinates(monkeypatch):
+    # the tree's points must be the coordinate strings in order; a check
+    # that raises, not an assert, so it also holds under python -O
+    monkeypatch.setattr(
+        ProductSpec, "labels", lambda self: ["x" + str(i) for i in range(self.n_points)]
+    )
+    with pytest.raises(BrokenCellTree):
+        product_space(ProductSpec((2, 2)))
