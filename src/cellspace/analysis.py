@@ -12,6 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
+from math import lcm
+
+import numpy as np
 
 from .celltree import CellTree
 from .errors import (
@@ -21,7 +24,7 @@ from .errors import (
     PointSetMismatch,
     ZeroDiameterInternalCell,
 )
-from .metrics import BallScanner, Geometry, WeightFn, critical_radii
+from .metrics import BallScanner, Geometry, WeightFn, _int_dtype, critical_radii
 from .spaces import ProductSpec
 
 EXACT_COVER_CAP = 20  # balls with more candidate centers fall back to greedy
@@ -260,14 +263,13 @@ def _greedy_cover(universe: frozenset, sets: list[frozenset]) -> int:
     return count
 
 
-def metric_doubling_constant(g: Geometry, radii=None) -> DoublingResult:
+def metric_doubling_constant(g: Geometry) -> DoublingResult:
     """Largest minimum number of half-radius balls needed to cover any ball.
 
-    Scans every center against the critical radii (realized distances plus
-    midpoints).  A radius between consecutive values realized at a center
-    gives the same ball with a larger half-radius, so its cover is never
-    harder; the default scan therefore visits, per center, only the
-    distances realized at that center, which attains the same maximum.
+    A radius between consecutive distances realized at a center gives the
+    same ball with a larger half-radius, so its cover is never harder; each
+    center is therefore scanned at the distinct positive codes of its row
+    (`BallScanner.sorted_codes`), which attains the maximum over all radii.
     Minimum covers are exact while the ball has at most EXACT_COVER_CAP
     candidate centers; larger balls use a greedy bound, and the result is
     flagged inexact only when a greedy bound exceeds every exact cover.
@@ -276,35 +278,30 @@ def metric_doubling_constant(g: Geometry, radii=None) -> DoublingResult:
     if table.n <= 1:
         return DoublingResult(1, True, None)
     balls = BallScanner(table)
-    per_center = radii is None
+    positive = balls.bound(0)  # the codes of positive distances start here
+    halves = [balls.bound(v / 2) for v in balls.values]  # code bound of half each value
     best_exact, wit_exact = 1, None
     best_greedy, wit_greedy = 0, None
-    solved: dict = {}
+    solved = set()
     for x in range(table.n):
-        if per_center:
-            scan = sorted({v for v in table.rows[x] if v > 0})
-        else:
-            scan = radii
-        for r in scan:
-            b = balls.ball(x, r)
-            half = r / 2
-            key = (b, half)
-            if key in solved:
+        row = balls.sorted_codes[x]  # sorted, so a code is new where it differs from the last
+        for k in row[(np.diff(row, prepend=-1) != 0) & (row >= positive)].tolist():
+            b, half = balls.ball_below(x, k + 1), halves[k]
+            if (b, half) in solved:
                 continue
+            solved.add((b, half))
             cand_sets = sorted(
-                {balls.ball(y, half) for y in sorted(b)},
+                {balls.ball_below(y, half) for y in sorted(b)},
                 key=lambda s: (-len(s), min(s)),
             )
             if len(b) <= EXACT_COVER_CAP:
                 cnt = _exact_min_cover(b, cand_sets)
-                solved[key] = (cnt, True)
                 if cnt > best_exact:
-                    best_exact, wit_exact = cnt, (table.labels[x], r)
+                    best_exact, wit_exact = cnt, (table.labels[x], balls.values[k])
             else:
                 cnt = _greedy_cover(b, cand_sets)
-                solved[key] = (cnt, False)
                 if cnt > best_greedy:
-                    best_greedy, wit_greedy = cnt, (table.labels[x], r)
+                    best_greedy, wit_greedy = cnt, (table.labels[x], balls.values[k])
     if best_greedy > best_exact:
         return DoublingResult(best_greedy, False, wit_greedy)
     return DoublingResult(best_exact, True, wit_exact)
@@ -312,22 +309,27 @@ def metric_doubling_constant(g: Geometry, radii=None) -> DoublingResult:
 
 def measure_metric_doubling(g: Geometry, mu: MeasureAtoms):
     """Largest ratio mu(B(x, r)) / mu(B(x, r/2)) over centers and critical
-    radii; 1 for a one-point space."""
+    radii; 1 for a one-point space.
+
+    Masses are integer prefix sums along `BallScanner.orders` over the
+    atoms' common denominator (int64 when the total fits, else Python
+    ints); one Fraction is built per distinct pair of ball sizes.
+    """
     table = g.table
     _check_alignment(g.tree, mu)
     if table.n <= 1:
         return Fraction(1)
     radii = critical_radii(table)
     balls = BallScanner(table)
+    bounds = np.array([(balls.bound(r), balls.bound(r / 2)) for r in radii], dtype=np.intp).T
+    common = lcm(*{v.denominator for v in mu.values})
+    scaled = [v.numerator * (common // v.denominator) for v in mu.values]
+    masses = np.array(scaled, dtype=_int_dtype(sum(scaled)))
     best = Fraction(1)
     for x in range(table.n):
-        prefix = [Fraction(0)]
-        for idx in balls.orders[x]:
-            prefix.append(prefix[-1] + mu.values[idx])
-        for r in radii:
-            num = prefix[balls.count_within(x, r)]
-            den = prefix[balls.count_within(x, r / 2)]
-            ratio = num / den
-            if ratio > best:
-                best = ratio
+        prefix = np.concatenate(([0], np.cumsum(masses[balls.orders[x]])))
+        sizes = balls.sorted_codes[x].searchsorted(bounds)  # of B(x, r) and B(x, r/2)
+        new = np.diff(sizes, prepend=-1).any(axis=0)  # both sizes ascend with r
+        for num, den in prefix[sizes[:, new]].T.tolist():
+            best = max(best, Fraction(num, den))
     return best

@@ -172,6 +172,8 @@ def _metric_spec_geometry(spec: str, tree, embedding=None, weights=None):
         w = metrics.weight_from_sequence(tree, _fracs(spec[4:]))
     elif spec.startswith("csv:"):
         table = formats.table_from_csv(Path(spec[4:]).read_text(encoding="utf-8"))
+        if not (verdict := table.check_metric()).ok:
+            raise FormatError(f"not a metric: {verdict.reason}, witness {verdict.witness}")
         return metrics.Geometry.from_table(tree, table)
     else:
         raise CellSpaceError(f"unknown metric spec {spec!r}")

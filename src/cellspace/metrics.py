@@ -340,14 +340,10 @@ class Geometry:
                     f"cells {c1} and {c2} are disjoint but their hulls overlap"
                 )
             return gap
-        best = None
-        for i in self.tree.members[c1]:
-            row = self.table.rows[i]
-            for j in self.tree.members[c2]:
-                v = row[j]
-                if best is None or v < best:
-                    best = v
-        return best
+        a, b = sorted(self.tree.members[c1]), sorted(self.tree.members[c2])
+        block = self.table.kernel[np.ix_(a, b)]
+        i, j = divmod(int(block.argmin()), len(b))
+        return self.table.rows[a[i]][b[j]]
 
     @classmethod
     def from_table(cls, tree: CellTree, table: MetricTable) -> "Geometry":
@@ -435,93 +431,92 @@ def critical_radii(table: MetricTable) -> list:
     """Realized positive distances plus midpoints of consecutive values.
 
     Every closed ball of positive radius equals a ball at one of these
-    radii, so scanning them decides ball properties for all radii."""
-    vals = sorted(
-        {table.rows[i][j] for i in range(table.n) for j in range(i + 1, table.n)}
-    )
-    radii = []
-    for k, v in enumerate(vals):
-        radii.append(v)
-        if k + 1 < len(vals):
-            radii.append((v + vals[k + 1]) / 2)
+    radii, so scanning them decides ball properties for all radii.  The
+    distances are the distinct value codes of the upper triangle."""
+    values, codes = table.value_codes()
+    upper = np.bincount(codes[np.triu(np.ones(codes.shape, dtype=bool), 1)], minlength=len(values))
+    vals = [values[k] for k in np.flatnonzero(upper).tolist()]
+    radii = vals[:1]
+    for a, b in zip(vals, vals[1:]):
+        radii += [(a + b) / 2, b]
     return radii
 
 
 class BallScanner:
-    """Closed balls of a fixed table, via per-center sorted rows.
+    """Closed balls of a fixed table, on its value codes (int32 when n allows).
 
-    ``orders[x]`` lists point indices by distance from x, so the ball of
-    radius r around x is the prefix of length ``count_within(x, r)``.
+    ``orders[x]`` lists the points by code from x, ties by index, and
+    ``sorted_codes[x]`` their codes.  ``values`` are the distinct entries in
+    increasing order, so the ball of radius r around x is the prefix of
+    ``orders[x]`` whose codes are below ``bound(r)``.
     """
 
     def __init__(self, table: MetricTable):
-        self.sorted_rows = []
-        self.orders = []
-        for i in range(table.n):
-            pairs = sorted(zip(table.rows[i], range(table.n)))
-            self.sorted_rows.append([p[0] for p in pairs])
-            self.orders.append([p[1] for p in pairs])
+        self.values, codes = table.value_codes()
+        codes = codes.astype(np.int32 if table.n**2 < 2**31 else np.int64)
+        self.orders = np.argsort(codes, axis=1, kind="stable").astype(codes.dtype)
+        self.sorted_codes = np.take_along_axis(codes, self.orders, axis=1)
         self._cache: dict = {}
 
+    def bound(self, r) -> int:
+        """The code bound of radius r: the number of distinct values <= r."""
+        return bisect_right(self.values, r)
+
     def count_within(self, x: int, r) -> int:
-        return bisect_right(self.sorted_rows[x], r)
+        return int(self.sorted_codes[x].searchsorted(self.bound(r)))
 
     def ball(self, x: int, r) -> frozenset:
-        key = (x, r)
-        got = self._cache.get(key)
+        return self.ball_below(x, self.bound(r))
+
+    def ball_below(self, x: int, bound: int) -> frozenset:
+        """The points whose code from x is below `bound`, cached."""
+        got = self._cache.get((x, bound))
         if got is None:
-            got = frozenset(self.orders[x][: self.count_within(x, r)])
-            self._cache[key] = got
+            size = self.sorted_codes[x].searchsorted(bound)
+            got = self._cache[x, bound] = frozenset(self.orders[x, :size].tolist())
         return got
 
 
 def balls_equal_cells(tree: CellTree, m: MetricTable) -> BallCellVerdict:
-    """Check both directions of the ball-cell correspondence.
+    """Check both directions of the ball-cell correspondence of a metric.
 
     (a) for every cell C and every x in C, the closed ball around x with
-        radius diam C equals C;
+        radius diam C (`Geometry.from_table`) equals C;
     (b) for every center and every critical radius, the closed ball is a
-        cell.  Witnesses are reported in deterministic scan order.
+        cell.  Cells are runs of `_leaf_order`, and a ball (a prefix of
+        ``orders[x]``) is a cell when the span from the least to the
+        greatest leaf position in it is a cell's run of the ball's size.
+
+    Witnesses: the first failing cell, then its first failing point (a);
+    the first failing center, then its first failing radius (b).
     """
-    if tuple(m.labels) != tuple(tree.points):
-        raise PointSetMismatch("table labels differ from tree points")
+    g = Geometry.from_table(tree, m)
     scanner = BallScanner(m)
-    # max distance from x to each of its ancestors, leaf upward
-    chain_maxdist = {}
-    for i in range(tree.n_points):
-        node = tree.leaf_of[i]
-        chain = [node] + tree.ancestors(node)
-        row = m.rows[i]
-        for c in chain:
-            chain_maxdist[(i, c)] = max(row[j] for j in tree.members[c])
+    order, runs = _leaf_order(tree)
     cell_failures = []
     for c in tree.cells():
-        diam = max(chain_maxdist[(i, c)] for i in tree.members[c])
-        size = len(tree.members[c])
-        for i in sorted(tree.members[c]):
-            if scanner.count_within(i, diam) != size:
-                cell_failures.append((c, tree.points[i]))
-                break
-        if cell_failures:
+        pts = np.sort(order[runs[c]])
+        ok = (scanner.sorted_codes[pts] < scanner.bound(g.diam(c))).sum(axis=1) == len(pts)
+        if not ok.all():
+            cell_failures.append((c, tree.points[pts[ok.argmin()]]))
             break
     ball_failures = []
     radii = critical_radii(m)
-    sizes_by_chain = {}
-    for i in range(tree.n_points):
-        node = tree.leaf_of[i]
-        chain = [node] + tree.ancestors(node)
-        sizes_by_chain[i] = {len(tree.members[c]): c for c in chain}
-    for i in range(tree.n_points):
-        for r in radii:
-            cnt = scanner.count_within(i, r)
-            cand = sizes_by_chain[i].get(cnt)
-            if cand is None or chain_maxdist[(i, cand)] > r:
-                ball = scanner.ball(i, r)
-                ball_failures.append(
-                    (tree.points[i], r, tuple(sorted(tree.points[j] for j in ball)))
-                )
-                break
-        if ball_failures:
+    bounds = np.array([scanner.bound(r) for r in radii], dtype=np.intp)
+    pos = np.argsort(order)  # position of each point in leaf order
+    is_run = np.zeros((m.n, m.n + 1), dtype=bool)  # [start, stop) of each cell
+    is_run[[r.start for r in runs], [r.stop for r in runs]] = True
+    for x in range(m.n):
+        at = pos[scanner.orders[x]]
+        size = scanner.sorted_codes[x].searchsorted(bounds)
+        # a ball of size 0 reads the prefix of size n and fails the size test
+        lo = np.minimum.accumulate(at)[size - 1]
+        hi = np.maximum.accumulate(at)[size - 1] + 1
+        ok = (hi - lo == size) & is_run[lo, hi]
+        if not ok.all():
+            r = radii[int(ok.argmin())]
+            ball = sorted(tree.points[j] for j in scanner.ball(x, r))
+            ball_failures.append((tree.points[x], r, tuple(ball)))
             break
     return BallCellVerdict(
         not cell_failures and not ball_failures,

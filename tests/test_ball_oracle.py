@@ -1,0 +1,378 @@
+"""Ball scans against the slow reference scans.
+
+`BallScanner`, `critical_radii`, `balls_equal_cells`,
+`metric_doubling_constant` and `measure_metric_doubling` work on the
+table's value codes and on integer masses.  The reference functions below
+are the scans they replaced, which sort, hash and bisect the `Fraction`
+rows and sum `Fraction` masses.  The property tests compare radii, ball
+sizes and members, verdicts with their witnesses, doubling values with
+their `exact` flags and witnesses, and measure doubling ratios on random
+laminar ultrametrics (int64 and Python-int kernels, exact or as float
+tables, checked against their own tree or against another tree on the
+same points, so that balls = cells fails too), on fat Cantor line metrics
+(where balls = cells fails), on a ball whose leaf span is a cell but
+which misses part of it, and under random point masses.
+"""
+
+import random
+from bisect import bisect_right
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_quasisym_oracle import WIDE, as_floats, random_weights
+
+from cellspace import (
+    Geometry,
+    MeasureAtoms,
+    MetricTable,
+    ProductSpec,
+    balls_equal_cells,
+    critical_radii,
+    fat_cantor,
+    measure_metric_doubling,
+    metric_doubling_constant,
+    product_space,
+    random_laminar,
+    synthesize_regular_weight,
+    ultrametric_from_weight,
+    validate_family,
+    weight_from_sequence,
+)
+from cellspace.analysis import (
+    EXACT_COVER_CAP,
+    DoublingResult,
+    _check_alignment,
+    _exact_min_cover,
+    _greedy_cover,
+)
+from cellspace.celltree import CellTree
+from cellspace.errors import PointSetMismatch
+from cellspace.metrics import BallCellVerdict, BallScanner
+
+# -- the reference scans ---------------------------------------------------------
+
+
+def ref_critical_radii(table: MetricTable) -> list:
+    """Realized positive distances plus midpoints of consecutive values.
+
+    Every closed ball of positive radius equals a ball at one of these
+    radii, so scanning them decides ball properties for all radii."""
+    vals = sorted(
+        {table.rows[i][j] for i in range(table.n) for j in range(i + 1, table.n)}
+    )
+    radii = []
+    for k, v in enumerate(vals):
+        radii.append(v)
+        if k + 1 < len(vals):
+            radii.append((v + vals[k + 1]) / 2)
+    return radii
+
+
+class RefBallScanner:
+    """Closed balls of a fixed table, via per-center sorted rows.
+
+    ``orders[x]`` lists point indices by distance from x, so the ball of
+    radius r around x is the prefix of length ``count_within(x, r)``.
+    """
+
+    def __init__(self, table: MetricTable):
+        self.sorted_rows = []
+        self.orders = []
+        for i in range(table.n):
+            pairs = sorted(zip(table.rows[i], range(table.n)))
+            self.sorted_rows.append([p[0] for p in pairs])
+            self.orders.append([p[1] for p in pairs])
+        self._cache: dict = {}
+
+    def count_within(self, x: int, r) -> int:
+        return bisect_right(self.sorted_rows[x], r)
+
+    def ball(self, x: int, r) -> frozenset:
+        key = (x, r)
+        got = self._cache.get(key)
+        if got is None:
+            got = frozenset(self.orders[x][: self.count_within(x, r)])
+            self._cache[key] = got
+        return got
+
+
+def ref_balls_equal_cells(tree: CellTree, m: MetricTable) -> BallCellVerdict:
+    """Check both directions of the ball-cell correspondence.
+
+    (a) for every cell C and every x in C, the closed ball around x with
+        radius diam C equals C;
+    (b) for every center and every critical radius, the closed ball is a
+        cell.  Witnesses are reported in deterministic scan order.
+    """
+    if tuple(m.labels) != tuple(tree.points):
+        raise PointSetMismatch("table labels differ from tree points")
+    scanner = RefBallScanner(m)
+    # max distance from x to each of its ancestors, leaf upward
+    chain_maxdist = {}
+    for i in range(tree.n_points):
+        node = tree.leaf_of[i]
+        chain = [node] + tree.ancestors(node)
+        row = m.rows[i]
+        for c in chain:
+            chain_maxdist[(i, c)] = max(row[j] for j in tree.members[c])
+    cell_failures = []
+    for c in tree.cells():
+        diam = max(chain_maxdist[(i, c)] for i in tree.members[c])
+        size = len(tree.members[c])
+        for i in sorted(tree.members[c]):
+            if scanner.count_within(i, diam) != size:
+                cell_failures.append((c, tree.points[i]))
+                break
+        if cell_failures:
+            break
+    ball_failures = []
+    radii = ref_critical_radii(m)
+    sizes_by_chain = {}
+    for i in range(tree.n_points):
+        node = tree.leaf_of[i]
+        chain = [node] + tree.ancestors(node)
+        sizes_by_chain[i] = {len(tree.members[c]): c for c in chain}
+    for i in range(tree.n_points):
+        for r in radii:
+            cnt = scanner.count_within(i, r)
+            cand = sizes_by_chain[i].get(cnt)
+            if cand is None or chain_maxdist[(i, cand)] > r:
+                ball = scanner.ball(i, r)
+                ball_failures.append(
+                    (tree.points[i], r, tuple(sorted(tree.points[j] for j in ball)))
+                )
+                break
+        if ball_failures:
+            break
+    return BallCellVerdict(
+        not cell_failures and not ball_failures,
+        tuple(cell_failures),
+        tuple(ball_failures),
+    )
+
+
+def ref_metric_doubling_constant(g: Geometry, radii=None) -> DoublingResult:
+    """Largest minimum number of half-radius balls needed to cover any ball.
+
+    Scans every center against the critical radii (realized distances plus
+    midpoints).  A radius between consecutive values realized at a center
+    gives the same ball with a larger half-radius, so its cover is never
+    harder; the default scan therefore visits, per center, only the
+    distances realized at that center, which attains the same maximum.
+    Minimum covers are exact while the ball has at most EXACT_COVER_CAP
+    candidate centers; larger balls use a greedy bound, and the result is
+    flagged inexact only when a greedy bound exceeds every exact cover.
+    """
+    table = g.table
+    if table.n <= 1:
+        return DoublingResult(1, True, None)
+    balls = RefBallScanner(table)
+    per_center = radii is None
+    best_exact, wit_exact = 1, None
+    best_greedy, wit_greedy = 0, None
+    solved: dict = {}
+    for x in range(table.n):
+        if per_center:
+            scan = sorted({v for v in table.rows[x] if v > 0})
+        else:
+            scan = radii
+        for r in scan:
+            b = balls.ball(x, r)
+            half = r / 2
+            key = (b, half)
+            if key in solved:
+                continue
+            cand_sets = sorted(
+                {balls.ball(y, half) for y in sorted(b)},
+                key=lambda s: (-len(s), min(s)),
+            )
+            if len(b) <= EXACT_COVER_CAP:
+                cnt = _exact_min_cover(b, cand_sets)
+                solved[key] = (cnt, True)
+                if cnt > best_exact:
+                    best_exact, wit_exact = cnt, (table.labels[x], r)
+            else:
+                cnt = _greedy_cover(b, cand_sets)
+                solved[key] = (cnt, False)
+                if cnt > best_greedy:
+                    best_greedy, wit_greedy = cnt, (table.labels[x], r)
+    if best_greedy > best_exact:
+        return DoublingResult(best_greedy, False, wit_greedy)
+    return DoublingResult(best_exact, True, wit_exact)
+
+
+def ref_measure_metric_doubling(g: Geometry, mu: MeasureAtoms):
+    """Largest ratio mu(B(x, r)) / mu(B(x, r/2)) over centers and critical
+    radii; 1 for a one-point space."""
+    table = g.table
+    _check_alignment(g.tree, mu)
+    if table.n <= 1:
+        return F(1)
+    radii = ref_critical_radii(table)
+    balls = RefBallScanner(table)
+    best = F(1)
+    for x in range(table.n):
+        prefix = [F(0)]
+        for idx in balls.orders[x]:
+            prefix.append(prefix[-1] + mu.values[idx])
+        for r in radii:
+            num = prefix[balls.count_within(x, r)]
+            den = prefix[balls.count_within(x, r / 2)]
+            ratio = num / den
+            if ratio > best:
+                best = ratio
+    return best
+
+
+# -- generated inputs ------------------------------------------------------------
+
+
+KINDS = ("random", "regular", "wide")
+
+
+@st.composite
+def laminar_cases(draw, kind):
+    """A random laminar tree, an ultrametric on its points and the tree the
+    ultrametric is checked against: its own, or (on a third of the cases)
+    another random tree on the same points.  Random weights with
+    denominator 10 give int64 kernels, with a wide denominator kernels of
+    Python ints; regular weights give many ties."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1, 24))
+    branch = draw(st.integers(2, 4))
+    tree = random_laminar(seed, branch, 8, n)
+    if kind == "regular":  # many ties: one value per depth
+        w = synthesize_regular_weight(tree, draw(st.sampled_from([F(1, 2), F(1, 3)])))
+    else:
+        w = random_weights(tree, random.Random(seed), WIDE if kind == "wide" else 10)
+    table = ultrametric_from_weight(tree, w)
+    if draw(st.booleans()):
+        table = as_floats(table)
+    if draw(st.integers(0, 2)) == 0:
+        tree = random_laminar(seed + 1, branch, 8, n)
+    return tree, table
+
+
+@st.composite
+def masses(draw, n: int):
+    """Positive point masses: small ones; ones over large coprime
+    denominators, whose common multiple overflows int64; or heavy integer
+    ones that each fit in int64 while their total does not.  The last two
+    take the Python-int prefix sums."""
+    kind = draw(st.sampled_from(["small", "coprime", "heavy"]))
+    if kind == "heavy":
+        return tuple(F(2**60 + draw(st.integers(0, 9))) for _ in range(n))
+    dens = [1, 12] if kind == "small" else [2**61 - 1, 2**64 - 59, 3**41]
+    return tuple(F(draw(st.integers(1, 9)), draw(st.sampled_from(dens))) for _ in range(n))
+
+
+def fat_cantor_geometry(depth: int, thetas=None) -> Geometry:
+    tree, emb = fat_cantor(depth, thetas)
+    return Geometry.from_intervals(tree, emb)
+
+
+def assert_same_balls(table: MetricTable):
+    got, want = BallScanner(table), RefBallScanner(table)
+    radii = ref_critical_radii(table)
+    zero = 0.0 if not table.exact else F(0)
+    probes = radii + [r / 2 for r in radii] + [zero]
+    for x in range(table.n):
+        for r in probes:
+            assert got.count_within(x, r) == want.count_within(x, r)
+            assert got.ball(x, r) == want.ball(x, r)
+
+
+def assert_same_radii(table: MetricTable):
+    got, want = critical_radii(table), ref_critical_radii(table)
+    assert got == want
+    assert [type(r) for r in got] == [type(r) for r in want]
+
+
+def assert_same_verdict(tree: CellTree, table: MetricTable):
+    got, want = balls_equal_cells(tree, table), ref_balls_equal_cells(tree, table)
+    assert got == want
+    for (_, r, _), (_, r0, _) in zip(got.ball_failures, want.ball_failures):
+        assert type(r) is type(r0)
+
+
+def assert_same_doubling(g: Geometry):
+    got, want = metric_doubling_constant(g), ref_metric_doubling_constant(g)
+    assert got == want
+    if got.witness is not None:
+        assert type(got.witness[1]) is type(want.witness[1])
+
+
+def assert_same_measure_doubling(g: Geometry, mu: MeasureAtoms):
+    got, want = measure_metric_doubling(g, mu), ref_measure_metric_doubling(g, mu)
+    assert got == want and type(got) is type(want)
+
+
+# -- properties --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_ball_scans_match_reference_on_ultrametrics(kind, data):
+    tree, table = data.draw(laminar_cases(kind))
+    assert_same_balls(table)
+    assert_same_radii(table)
+    assert_same_verdict(tree, table)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_doubling_matches_reference_on_ultrametrics(kind, data):
+    tree, table = data.draw(laminar_cases(kind))
+    g = Geometry(tree, table, "table", ())
+    assert_same_doubling(g)
+    mu = MeasureAtoms(table.labels, data.draw(masses(table.n)))
+    assert_same_measure_doubling(g, mu)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 5), st.booleans())
+def test_ball_scans_match_reference_on_fat_cantor(depth, floats):
+    g = fat_cantor_geometry(depth)
+    table = as_floats(g.table) if floats else g.table
+    assert_same_balls(table)
+    assert_same_radii(table)
+    assert_same_verdict(g.tree, table)
+    if depth >= 3 and not floats:
+        assert not balls_equal_cells(g.tree, table).ok
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_doubling_matches_reference_on_fat_cantor(depth, data):
+    # prime gap proportions give a Python-int kernel from depth 4 on
+    thetas = [F(1, p) for p in (1000003, 1000033, 1000037, 1000039, 1000081)][:depth]
+    g = fat_cantor_geometry(depth, thetas if data.draw(st.booleans()) else None)
+    assert_same_radii(g.table)
+    assert_same_doubling(g)
+    mu = MeasureAtoms(g.table.labels, data.draw(masses(g.table.n)))
+    assert_same_measure_doubling(g, mu)
+    assert_same_measure_doubling(g, MeasureAtoms.uniform(g.tree))
+
+
+def test_ball_with_a_hole_in_its_span_is_not_a_cell():
+    # B(p0, 1) = {p0, p2} spans the root's run p0 p1 p2 but misses p1
+    tree = validate_family(["p0", "p1", "p2"], [{0, 1, 2}, {0}, {1}, {2}])
+    table = MetricTable(tree.points, ((F(0), F(2), F(1)), (F(2), F(0), F(2)), (F(1), F(2), F(0))))
+    got = balls_equal_cells(tree, table)
+    assert got == ref_balls_equal_cells(tree, table)
+    assert got.ball_failures == (("p0", F(1), ("p0", "p2")),)
+
+
+@pytest.mark.parametrize("sizes", [(22,), (23, 2), (2, 11), (3, 8)])
+def test_doubling_matches_reference_on_products(sizes):
+    # (22,) and (23, 2): balls past EXACT_COVER_CAP whose greedy bound wins
+    tree = product_space(ProductSpec(sizes))
+    w = weight_from_sequence(tree, [F(1, 2) ** i for i in range(len(sizes) + 1)])
+    g = Geometry.from_table(tree, ultrametric_from_weight(tree, w))
+    assert_same_doubling(g)
+    assert metric_doubling_constant(g).exact is (sizes[0] < EXACT_COVER_CAP)
+    assert_same_measure_doubling(g, MeasureAtoms.uniform(tree))

@@ -283,6 +283,32 @@ def test_analyze_with_csv_metric(tmp_path, capsys):
     assert json.loads(stdout)["alpha"] == "1/2"
 
 
+def _analyze_with_csv_rows(tmp_path, capsys, rows):
+    f = tmp_path / "p.json"
+    _run(capsys, "generate", "product", "--sizes", "2,2", "--out", str(f))
+    csv_path = tmp_path / "m.csv"
+    csv_path.write_text(",00,01,10,11\n" + "".join(r + "\n" for r in rows))
+    return _run(capsys, "analyze", str(f), "--metric", f"csv:{csv_path}")
+
+
+def test_analyze_csv_asymmetric_table_is_malformed(tmp_path, capsys):
+    code, stdout, err = _analyze_with_csv_rows(
+        tmp_path, capsys, ["00,0,5,1,1", "01,1,0,1,1", "10,1,1,0,1/2", "11,1,1,1/2,0"]
+    )
+    assert code == 2 and stdout == ""
+    assert err.startswith("malformed input:")
+    assert "not a metric: asymmetric, witness ('00', '01')" in err
+
+
+def test_analyze_csv_nonzero_diagonal_is_malformed(tmp_path, capsys):
+    code, stdout, err = _analyze_with_csv_rows(
+        tmp_path, capsys, ["00,1,1/2,1,1", "01,1/2,0,1,1", "10,1,1,0,1/2", "11,1,1,1/2,0"]
+    )
+    assert code == 2 and stdout == ""
+    assert err.startswith("malformed input:")
+    assert "not a metric: nonzero diagonal, witness ('00',)" in err
+
+
 def test_analyze_table_format(tmp_path, capsys):
     f = tmp_path / "c.json"
     _run(capsys, "generate", "cantor", "--depth", "2", "--out", str(f))

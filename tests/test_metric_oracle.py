@@ -8,7 +8,8 @@ tables of three kinds: small common denominators (int64 scan), wide ones
 whose rescaled integers overflow int64 (Python-int scan), and float tables
 with a tolerance.  Symmetric and asymmetric tables are both drawn.  The
 cell diameters of `Geometry.from_table`, taken on the table kernel, are
-compared the same way with the loop over pairs of sibling cells.
+compared the same way with the loop over pairs of sibling cells, and the
+separations of sibling cells with the loop over their point pairs.
 """
 
 from fractions import Fraction as F
@@ -83,6 +84,15 @@ def ref_from_table_diams(tree, t: MetricTable) -> list:
                             best = t.rows[i][j]
         diams[c] = best
     return diams
+
+
+def ref_separation(tree, t: MetricTable, c1: int, c2: int):
+    best = None
+    for i in tree.members[c1]:
+        for j in tree.members[c2]:
+            if best is None or t.rows[i][j] < best:
+                best = t.rows[i][j]
+    return best
 
 
 @st.composite
@@ -184,7 +194,15 @@ def test_from_table_diameters_match_pair_loop(kind, data):
     t = data.draw(tables(kind))
     seed = data.draw(st.integers(0, 2**32 - 1))
     tree = random_laminar(seed, data.draw(st.integers(2, 4)), 8, t.n)
-    got = [Geometry.from_table(tree, t).diam(c) for c in tree.cells()]
+    g = Geometry.from_table(tree, t)
+    got = [g.diam(c) for c in tree.cells()]
     want = ref_from_table_diams(tree, t)
     assert got == want
     assert [type(v) for v in got] == [type(v) for v in want]
+    for c in tree.cells():
+        kids = tree.children[c]
+        for a in range(len(kids)):
+            for b in range(a + 1, len(kids)):
+                sep = g.separation(kids[a], kids[b])
+                ref = ref_separation(tree, t, kids[a], kids[b])
+                assert sep == ref and type(sep) is type(ref)
