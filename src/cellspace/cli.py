@@ -282,11 +282,12 @@ def cmd_distortion(args) -> int:
     if not args.tol >= 0:
         raise CellSpaceError(f"--tol must be nonnegative, got {args.tol}")
     grid = parse_grid(args.grid)
+    # every depth is regenerated (and size-checked) before any output is written
+    spaces_by_depth = {depth: _regenerate(loaded.generator, depth) for depth in sorted(depths)}
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     profiles = {}
-    for depth in sorted(depths):
-        tree, embedding = _regenerate(loaded.generator, depth)
+    for depth, (tree, embedding) in spaces_by_depth.items():
         table_a = _metric_spec_geometry(args.metric_a, tree, embedding).table
         table_b = _metric_spec_geometry(args.metric_b, tree, embedding).table
         prof = quasisym.distortion_profile(table_a, table_b, seed=args.seed)

@@ -277,6 +277,57 @@ def _leaf_order(tree: CellTree) -> tuple[np.ndarray, list[slice]]:
     return np.array(order, dtype=np.intp), runs
 
 
+def _single_linkage_certificate(table: MetricTable) -> bool:
+    """True when the table equals its single-linkage ultrametric.
+
+    A symmetric table with a zero diagonal and no negative entry is an
+    ultrametric exactly when it equals its subdominant (single-linkage)
+    ultrametric (Gower & Ross, Appl. Stat. 1969).  Prim's algorithm gives a
+    minimum spanning tree of the kernel in O(n^2); its edges are merged in
+    increasing order, and the kernel block between the two clusters of
+    each merge must equal the edge's value.  Every pair lies in exactly one
+    such block.  Blocks compare with `==`, so a float table that is an
+    ultrametric only within its tolerance is not certified.  False means
+    "not certified": outside the domain, or some block is not constant.
+    """
+    n = table.n
+    mat = table.kernel.reshape(n, n)
+    if not (table.exact or table.tol >= 0):
+        return False
+    if not ((mat == mat.T).all() and (mat.diagonal() == 0).all() and (mat >= 0).all()):
+        return False
+    if n < 2:
+        return True
+    # Prim: best[k] is the lightest edge from rest[k] into the tree, from near[k]
+    rest = np.arange(1, n)
+    best = mat[0, 1:].copy()
+    near = np.zeros(n - 1, dtype=np.intp)
+    weights = np.empty(n - 1, dtype=mat.dtype)
+    ends = np.empty((n - 1, 2), dtype=np.intp)
+    for last in range(n - 2, -1, -1):
+        k = int(best[: last + 1].argmin())
+        v = rest[k]
+        weights[last], ends[last] = best[k], (near[k], v)
+        rest[k], best[k], near[k] = rest[last], best[last], near[last]
+        row = mat[v, rest[:last]]
+        closer = row < best[:last]
+        best[:last][closer] = row[closer]
+        near[:last][closer] = v
+    # single linkage: cluster members, and the cluster of each point
+    members = [[p] for p in range(n)]
+    owner = list(range(n))
+    for e in np.argsort(weights, kind="stable").tolist():
+        a, b = owner[ends[e, 0]], owner[ends[e, 1]]
+        if not (mat[np.ix_(members[a], members[b])] == weights[e]).all():
+            return False
+        if len(members[a]) < len(members[b]):
+            a, b = b, a
+        for p in members[b]:
+            owner[p] = a
+        members[a] += members[b]
+    return True
+
+
 @dataclass(frozen=True)
 class UltrametricVerdict:
     ok: bool
@@ -288,13 +339,20 @@ class UltrametricVerdict:
 
 
 def validate_ultrametric(m: MetricTable) -> UltrametricVerdict:
-    """Exhaustive triple scan of d(x, z) <= max(d(x, y), d(y, z)).
+    """Decide d(x, z) <= max(d(x, y), d(y, z)) for every triple.
 
-    Returns the lexicographically smallest witness triple and its slack on
-    failure.  Exact tables are scanned as integers over their common
-    denominator (int64, or Python ints when that would overflow); float
-    tables are scanned with their tolerance.
+    A table passes at once when the single-linkage certificate
+    (`_single_linkage_certificate`, O(n^2)) accepts it.  Its domain is a
+    symmetric kernel with a zero diagonal and no negative entry (and a
+    nonnegative tolerance on float tables).  The exhaustive triple scan
+    runs only when the certificate fails or the table lies outside that
+    domain: it returns the lexicographically smallest witness triple and
+    its slack on failure.  Exact tables are scanned as integers over their
+    common denominator (int64, or Python ints when that would overflow);
+    float tables are scanned with their tolerance.
     """
+    if _single_linkage_certificate(m):
+        return UltrametricVerdict(True)
     wit = _first_violation(m, np.maximum)
     if wit is None:
         return UltrametricVerdict(True)

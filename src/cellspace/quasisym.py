@@ -14,6 +14,8 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 
@@ -285,7 +287,9 @@ def qs_verdict(profiles_by_depth: dict, grid, tol: float = 1e-9) -> QsVerdict:
     """Cross-depth stability plus decay of the envelope at small scales.
 
     PASS requires, for the two largest depths: |H_a(t) - H_b(t)| <= tol at
-    every grid point where both envelopes are defined, and strictly
+    every grid point where both envelopes are defined (compared exactly,
+    against the float tol's exact value, when both envelope values are
+    exact; in floats otherwise), and strictly
     decreasing H at the three smallest defined grid points below 1 of the
     deepest envelope.  FAIL reports the offending grid point and a
     representative triple.  Quasisymmetry of the infinite spaces is
@@ -307,11 +311,16 @@ def qs_verdict(profiles_by_depth: dict, grid, tol: float = 1e-9) -> QsVerdict:
     env_a = _Envelope(profiles_by_depth[depth_a])
     env_b = _Envelope(profiles_by_depth[depth_b])
     eta = tuple((t, env_b.at(t)) for t in grid)
+    exact_tol = Fraction(tol) if math.isfinite(tol) else None
     for t in grid:
         ha, hb = env_a.at(t), env_b.at(t)
         if ha is None or hb is None:
             continue
-        if abs(float(ha - hb)) > tol:
+        if exact_tol is not None and isinstance(ha, Rational) and isinstance(hb, Rational):
+            differs = abs(ha - hb) > exact_tol
+        else:
+            differs = abs(float(ha - hb)) > tol
+        if differs:
             return QsVerdict(
                 False,
                 f"envelope differs by {float(abs(ha - hb)):.3g} across depths "

@@ -14,9 +14,26 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
+from itertools import repeat
 
 from .celltree import CellTree, RootedTree, cells_of
 from .errors import BadAlphabetSize, BadProportion, BrokenCellTree
+
+MAX_POINTS = 2**20
+"""The most points a generator builds.  Every metric check reads an n x n
+table, so spaces far smaller than this are already slow; the cap turns a
+mistyped size (``cantor --depth 40``) into a ValueError before anything is
+built, instead of a run that never ends."""
+
+
+def _check_points(level_sizes) -> None:
+    """Raise ValueError when the product of the level sizes exceeds
+    MAX_POINTS; stops multiplying as soon as it does."""
+    n = 1
+    for k in level_sizes:
+        n *= k
+        if n > MAX_POINTS:
+            raise ValueError(f"more than MAX_POINTS = {MAX_POINTS} points requested")
 
 
 @dataclass(frozen=True)
@@ -60,21 +77,17 @@ def product_space(spec: ProductSpec) -> CellTree:
     """Complete tree of the product cellular structure.
 
     Depth-l cells are exactly the sets of points sharing their first l
-    coordinates; leaves are the coordinate strings.
+    coordinates; leaves are the coordinate strings.  Built bottom-up, one
+    level at a time, so no recursion limit caps the depth.
     """
-    labels = spec.labels()
-
-    def node(prefix: tuple[int, ...]) -> RootedTree:
-        level = len(prefix)
-        if level == spec.depth:
-            sep = "" if max(spec.sizes) <= 10 else "."
-            return RootedTree(label=sep.join(str(c) for c in prefix))
-        return RootedTree(
-            children=[node(prefix + (c,)) for c in range(spec.sizes[level])]
-        )
-
-    tree = cells_of(node(()))
-    if tree.points != tuple(labels):
+    _check_points(spec.sizes)
+    sep = "" if max(spec.sizes) <= 10 else "."
+    coords = iproduct(*(range(k) for k in spec.sizes))
+    level = [RootedTree(label=sep.join(map(str, c))) for c in coords]
+    for k in reversed(spec.sizes):
+        level = [RootedTree(children=level[i : i + k]) for i in range(0, len(level), k)]
+    tree = cells_of(level[0])
+    if tree.points != tuple(spec.labels()):
         raise BrokenCellTree("product tree points are not the coordinate strings")
     return tree
 
@@ -87,35 +100,35 @@ def ray_space(tree: RootedTree) -> CellTree:
     determine the same ray set as that child and collapse to one cell.
     Unlabeled leaves are named by their root-to-leaf child-index path.
     """
-    labeled = _with_ray_labels(tree, ())
-    return cells_of(labeled)
+    return cells_of(_with_ray_labels(tree))
 
 
-def _with_ray_labels(node: RootedTree, path: tuple[int, ...]) -> RootedTree:
-    if node.is_leaf():
-        label = node.label
-        if label is None:
-            label = "r" + ".".join(str(i) for i in path) if path else "r"
-        return RootedTree(label=label)
-    return RootedTree(
-        children=[
-            _with_ray_labels(ch, path + (i,)) for i, ch in enumerate(node.children)
-        ]
-    )
+def _with_ray_labels(tree: RootedTree) -> RootedTree:
+    """Copy of the tree with each unlabeled leaf named by its path; built
+    top-down from a stack, so no recursion limit caps the depth."""
+    root = RootedTree()
+    stack = [(tree, root, ())]
+    while stack:
+        node, new, path = stack.pop()
+        if node.is_leaf():
+            new.label = "r" + ".".join(map(str, path)) if node.label is None else node.label
+        for i, ch in enumerate(node.children):
+            new.children.append(RootedTree())
+            stack.append((ch, new.children[-1], path + (i,)))
+    return root
 
 
 def complete_tree(arity: int, depth: int) -> RootedTree:
     """Complete rooted tree where every vertex above the leaves has `arity`
-    children; handy input for ray_space."""
+    children; handy input for ray_space.  Built bottom-up, one level at a
+    time, so no recursion limit caps the depth."""
     if arity < 1 or depth < 0:
         raise ValueError("need arity >= 1 and depth >= 0")
-
-    def build(d: int) -> RootedTree:
-        if d == 0:
-            return RootedTree()
-        return RootedTree(children=[build(d - 1) for _ in range(arity)])
-
-    return build(depth)
+    _check_points(repeat(arity, depth))
+    level = [RootedTree() for _ in range(arity**depth)]
+    for _ in range(depth):
+        level = [RootedTree(children=level[i : i + arity]) for i in range(0, len(level), arity)]
+    return level[0]
 
 
 @dataclass(frozen=True)
@@ -161,6 +174,7 @@ def cantor(depth: int) -> tuple[CellTree, IntervalEmbedding]:
     """Middle-thirds Cantor construction truncated at the given depth."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    _check_points(repeat(2, depth))
     return _interval_tree(depth, [Fraction(1, 3)] * depth)
 
 
@@ -173,6 +187,7 @@ def fat_cantor(depth: int, thetas=None) -> tuple[CellTree, IntervalEmbedding]:
     positive length.  Default schedule theta_n = 2^-(n+2)."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    _check_points(repeat(2, depth))
     if thetas is None:
         thetas = default_fat_thetas(depth)
     thetas = [Fraction(t) for t in thetas]
@@ -196,6 +211,7 @@ def random_laminar(
     """
     if max_branch < 2 or max_depth < 1 or n_points < 1:
         raise ValueError("need max_branch >= 2, max_depth >= 1, n_points >= 1")
+    _check_points([n_points])
     if max_branch**max_depth < n_points:
         raise ValueError(
             f"max_branch**max_depth = {max_branch**max_depth} < {n_points} points"

@@ -71,6 +71,29 @@ def test_generate_ray_complete(tmp_path, capsys):
     assert "points=8 cells=15" in stdout
 
 
+def test_generate_deep_complete_ray_tree(capsys):
+    # a 1500-level path: deeper than the recursion limit
+    code, stdout, err = _run(capsys, "generate", "ray", "--complete", "1,1500")
+    assert code == 0
+    assert err == "points=1 cells=1\n"
+    assert json.loads(stdout)["root"]["point"] == "r" + ".".join(["0"] * 1500)
+
+
+def test_generate_too_many_points_is_rejected_at_once(tmp_path, capsys):
+    code, stdout, err = _run(capsys, "generate", "cantor", "--depth", "40")
+    assert code == 2 and stdout == ""
+    assert err.startswith("error:") and "MAX_POINTS" in err
+    f = tmp_path / "c.json"
+    _run(capsys, "generate", "cantor", "--depth", "2", "--out", str(f))
+    code, stdout, err = _run(
+        capsys, "distortion", str(f), "euclid", "reg:1/2", "--depths", "2,40",
+        "--out", str(tmp_path / "out"),
+    )
+    assert code == 2 and stdout == ""
+    assert err.startswith("error:") and "MAX_POINTS" in err
+    assert not (tmp_path / "out").exists()  # rejected before any output
+
+
 def test_generate_ray_from_tree_file(tmp_path, capsys):
     src = tmp_path / "tree.json"
     src.write_text(

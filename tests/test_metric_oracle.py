@@ -10,8 +10,17 @@ with a tolerance.  Symmetric and asymmetric tables are both drawn.  The
 cell diameters of `Geometry.from_table`, taken on the table kernel, are
 compared the same way with the loop over pairs of sibling cells, and the
 separations of sibling cells with the loop over their point pairs.
+
+`validate_ultrametric` first tries the single-linkage certificate and
+scans only when it declines, so the oracle alone cannot tell a working
+certificate from one that always declines.  Two more properties pin it
+down: on the small tables it accepts exactly the in-domain tables that the
+triple loop accepts with zero tolerance, and it accepts random-laminar
+ultrametrics up to n = 80 with tied weights, whose single perturbed pair
+the scan must then report as the triple loop does.
 """
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -20,7 +29,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellspace import Geometry, MetricTable, random_laminar, validate_ultrametric
-from cellspace.metrics import MetricVerdict, UltrametricVerdict, _exact_matrix
+from cellspace.metrics import (
+    MetricVerdict,
+    UltrametricVerdict,
+    WeightFn,
+    _exact_matrix,
+    _single_linkage_certificate,
+    ultrametric_from_weight,
+)
 
 WIDE_DENOMINATORS = (2**63 + 1, 3**41, 2**64 - 59)
 TOLERANCES = (0.0, 1e-9, 0.25)
@@ -67,6 +83,15 @@ def ref_validate_ultrametric(t: MetricTable) -> UltrametricVerdict:
                         slack=dxz - bound,
                     )
     return UltrametricVerdict(True)
+
+
+def ref_certificate_domain(t: MetricTable) -> bool:
+    """Symmetric, zero diagonal, no negative entry, nonnegative tolerance."""
+    return (t.exact or t.tol >= 0) and all(
+        t.rows[i][j] == t.rows[j][i] and t.rows[i][j] >= 0 and (i != j or t.rows[i][i] == 0)
+        for i in range(t.n)
+        for j in range(t.n)
+    )
 
 
 def ref_from_table_diams(tree, t: MetricTable) -> list:
@@ -206,3 +231,72 @@ def test_from_table_diameters_match_pair_loop(kind, data):
                 sep = g.separation(kids[a], kids[b])
                 ref = ref_separation(tree, t, kids[a], kids[b])
                 assert sep == ref and type(sep) is type(ref)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@ORACLE
+@given(data=st.data())
+def test_certificate_accepts_exactly_the_ultrametrics_in_its_domain(kind, data):
+    t = data.draw(tables(kind))
+    certified = _single_linkage_certificate(t)
+    if certified:
+        assert ref_validate_ultrametric(t).ok
+    # with zero tolerance the reference accepts only exact ultrametrics
+    exact_ok = ref_validate_ultrametric(replace(t, tol=0.0)).ok
+    assert certified == (ref_certificate_domain(t) and exact_ok)
+
+
+@pytest.mark.parametrize("tol", (-1e-9, float("nan")))
+def test_certificate_declines_a_negative_or_nan_tolerance(tol):
+    t = MetricTable(("a", "b"), ((0.0, 1.0), (1.0, 0.0)), exact=False, tol=tol)
+    assert not _single_linkage_certificate(t)
+    got, want = validate_ultrametric(t), ref_validate_ultrametric(t)
+    assert (got.ok, got.witness, got.slack) == (want.ok, want.witness, want.slack)
+
+
+# strictly increasing maps with f(0) = 0 onto each kind's entries
+LAMINAR_VALUES = {
+    "int64": lambda k: F(k, 3),
+    "wide": lambda k: k * (1 + F(1, WIDE_DENOMINATORS[0])),
+    "float": lambda k: k * 0.1,
+}
+
+
+@st.composite
+def laminar_ultrametrics(draw, kind):
+    """Random laminar trees with integer weights that drop by 1 or 2 from a
+    cell to each internal child, so unrelated cells often tie."""
+    n = draw(st.integers(2, 80))
+    tree = random_laminar(draw(st.integers(0, 2**32 - 1)), 4, 8, n)
+    weight = [0] * tree.n_cells
+    for c in sorted(tree.internal_cells(), key=tree.depth.__getitem__):
+        par = tree.parent[c]
+        weight[c] = 20 if par is None else weight[par] - draw(st.integers(1, 2))
+    ints = ultrametric_from_weight(tree, WeightFn(tree, tuple(map(F, weight))))
+    f = LAMINAR_VALUES[kind]
+    rows = tuple(tuple(f(int(v)) for v in row) for row in ints.rows)
+    if kind == "float":
+        return MetricTable(ints.labels, rows, exact=False, tol=draw(st.sampled_from(TOLERANCES)))
+    return MetricTable(ints.labels, rows)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=12, deadline=None, database=None)
+@given(data=st.data())
+def test_certificate_accepts_laminar_ultrametrics(kind, data):
+    t = data.draw(laminar_ultrametrics(kind))
+    if kind == "wide":
+        assert t.kernel.dtype == object
+    assert _single_linkage_certificate(t)
+    assert validate_ultrametric(t).ok
+    i = data.draw(st.integers(0, t.n - 2))
+    j = data.draw(st.integers(i + 1, t.n - 1))
+    f = LAMINAR_VALUES[kind]
+    nudge = {"int64": F(1, 3), "wide": F(1, WIDE_DENOMINATORS[0]), "float": 1e-10}[kind]
+    delta = data.draw(st.sampled_from((f(1), -f(1), nudge, -nudge)))
+    rows = [list(row) for row in t.rows]
+    rows[i][j] = rows[j][i] = rows[i][j] + delta
+    bent = replace(t, rows=tuple(map(tuple, rows)))
+    got, want = validate_ultrametric(bent), ref_validate_ultrametric(bent)
+    assert (got.ok, got.witness, got.slack) == (want.ok, want.witness, want.slack)
+    assert type(got.slack) is type(want.slack)

@@ -24,6 +24,7 @@ from cellspace import (
     weight_from_sequence,
 )
 from cellspace.errors import GridTooCoarse, PointSetMismatch
+from cellspace.quasisym import DistortionProfile
 
 
 def _drho_table(depth, base, sizes=None):
@@ -165,6 +166,25 @@ def test_qs_verdict_fail_fat_cantor():
     # a gap-crossing pair: tiny in the line metric, level-sized in the weights
     deep = profiles[6]
     assert any(r <= F(1, 2**6) and s >= F(1, 2) for r, s in deep.distinct())
+
+
+def _steps(*pairs):
+    wit = ("a", "b", "c")
+    return DistortionProfile(wit, {rs: [1, wit] for rs in pairs}, False, len(pairs))
+
+
+@pytest.mark.parametrize("excess, passed", [(F(0), True), (F(1, 10**30), False)])
+def test_qs_verdict_compares_exact_envelopes_exactly(excess, passed):
+    # the envelopes differ at t = 1/2 by the exact value of the float tol,
+    # plus an excess too small to survive rounding the difference to float
+    diff = F(1e-9) + excess
+    shallow = _steps((F(1, 8), F(1, 8)), (F(1, 4), F(1, 4)), (F(1, 2), F(1, 2)))
+    deep = _steps((F(1, 8), F(1, 8)), (F(1, 4), F(1, 4)), (F(1, 2), F(1, 2) + diff))
+    v = qs_verdict({2: shallow, 3: deep}, [F(1, 8), F(1, 4), F(1, 2), F(1)], tol=1e-9)
+    assert v.passed is passed
+    if not passed:
+        assert v.offending_t == F(1, 2) and v.witness == ("a", "b", "c")
+    assert qs_verdict({2: shallow, 3: deep}, [F(1, 8), F(1, 4), F(1, 2)], tol=math.inf).passed
 
 
 def test_qs_verdict_needs_two_depths():
