@@ -27,7 +27,7 @@ FORMAT_NAME = "cellspace-v1"
 
 
 def frac_str(v: Fraction) -> str:
-    return str(Fraction(v))
+    return str(v if type(v) is Fraction else Fraction(v))
 
 
 def parse_frac(s) -> Fraction:
@@ -290,11 +290,13 @@ def table_from_csv(text: str, exact: bool = True, tol: float = 0.0) -> MetricTab
 
 
 def profile_to_csv(profile) -> str:
+    """One row (r, s, count) per distinct pair, in increasing exact (r, s)
+    order: the profile's cached order, computed once per profile."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["r", "s", "count"])
-    for r, s in profile.distinct():
-        w.writerow([frac_str(r), frac_str(s), profile.pairs[(r, s)][0]])
+    for (r, s), (count, _) in profile.ordered:
+        w.writerow([frac_str(r), frac_str(s), count])
     return buf.getvalue()
 
 

@@ -15,7 +15,10 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import groupby
 from numbers import Rational
+from operator import itemgetter
 
 import numpy as np
 
@@ -30,15 +33,33 @@ _SEEDED_EXTRAS = 1
 
 @dataclass
 class DistortionProfile:
-    """Ratio pairs with multiplicities and one representative triple each."""
+    """Ratio pairs with multiplicities and one representative triple each.
+
+    A profile is immutable once built.  Its pairs in increasing (r, s) order
+    and its upper envelope are computed exactly on first use and cached, so
+    the CSV writer, `envelope_eval` and `qs_verdict` share one sort and one
+    envelope walk per profile.  A changed profile is a new profile (`swap`).
+    """
 
     labels: tuple[str, ...]
     pairs: dict  # (r, s) -> [count, (x, y, z) labels]
     sampled: bool
     n_triples: int
 
+    @cached_property
+    def ordered(self) -> tuple:
+        """The items ((r, s), [count, witness]) of `pairs` in increasing exact
+        (r, s) order; computed once, read-only."""
+        return _exact_order(self.pairs)
+
+    @cached_property
+    def envelope(self) -> "_Envelope":
+        """H(t) = max{s : r <= t} with its witnesses, built once from `ordered`."""
+        return _Envelope(self.ordered)
+
     def distinct(self):
-        return sorted(self.pairs)
+        """The distinct (r, s) pairs in increasing exact order (from `ordered`)."""
+        return [pair for pair, _ in self.ordered]
 
     def witness(self, r, s):
         return self.pairs[(r, s)][1]
@@ -48,6 +69,36 @@ class DistortionProfile:
             (s, r): [c, (w[0], w[1], w[2])] for (r, s), (c, w) in self.pairs.items()
         }
         return DistortionProfile(self.labels, swapped, self.sampled, self.n_triples)
+
+
+def _float_key(v) -> float:
+    """The correctly rounded float of a ratio.  `int / int` true division
+    rounds correctly, so v < w implies _float_key(v) <= _float_key(w); a
+    ratio beyond the float range maps to +-inf."""
+    if isinstance(v, float):
+        return v
+    try:
+        return v.numerator / v.denominator
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
+def _exact_order(pairs: dict) -> tuple:
+    """Items of `pairs` in increasing exact (r, s) order.
+
+    The items are sorted on the float keys (float(r), float(s)), which never
+    put two pairs with different float(r) in the wrong order; each run of
+    equal float(r), where r or s may tie in floats but differ exactly, is then
+    sorted exactly.
+    """
+    items = list(pairs.items())
+    keys = [(_float_key(r), _float_key(s)) for r, s in pairs]
+    order = sorted(range(len(items)), key=keys.__getitem__)
+    out = []
+    for _, run in groupby(order, key=lambda i: keys[i][0]):
+        run = [items[i] for i in run]
+        out += sorted(run, key=itemgetter(0)) if len(run) > 1 else run
+    return tuple(out)
 
 
 def distortion_profile(
@@ -234,19 +285,19 @@ def _sampled_profile(d: MetricTable, dt: MetricTable, seed: int) -> DistortionPr
 
 
 class _Envelope:
-    """Step function H(t) = max{s : r <= t} with witnesses at each step."""
+    """Step function H(t) = max{s : r <= t} with witnesses at each step, built
+    in one walk over a profile's items in increasing (r, s) order."""
 
-    def __init__(self, profile: DistortionProfile):
-        rs = sorted(profile.pairs)
+    def __init__(self, ordered: tuple):
         self.r_steps = []
         self.h_vals = []
         self.h_wits = []
         best = None
         best_w = None
-        for r, s in rs:
+        for (r, s), (_, w) in ordered:
             if best is None or s > best:
                 best = s
-                best_w = profile.pairs[(r, s)][1]
+                best_w = w
             if self.r_steps and self.r_steps[-1] == r:
                 self.h_vals[-1] = best
                 self.h_wits[-1] = best_w
@@ -265,8 +316,11 @@ class _Envelope:
 
 
 def envelope_eval(profile: DistortionProfile, grid) -> list:
-    """(t, H(t)) on the grid; H is None below the smallest realized ratio."""
-    env = _Envelope(profile)
+    """(t, H(t)) on the grid; H is None below the smallest realized ratio.
+
+    H is read from the profile's cached envelope, computed exactly once per
+    profile and shared with `qs_verdict`."""
+    env = profile.envelope
     return [(t, env.at(t)) for t in grid]
 
 
@@ -299,6 +353,10 @@ def qs_verdict(profiles_by_depth: dict, grid, tol: float = 1e-9) -> QsVerdict:
     The grid should be spaced no finer than the ratio scale of the metrics
     (dyadic grids suit weight ratios in [1/3, 1/2]); a grid much finer than
     the realized ratio steps can read one envelope step as a plateau.
+
+    The envelopes are the profiles' cached ones (exact, computed once per
+    profile), so a profile already written out or evaluated is not sorted
+    again.
     """
     if len(profiles_by_depth) < 2:
         raise ValueError("need profiles at two or more depths")
@@ -308,8 +366,8 @@ def qs_verdict(profiles_by_depth: dict, grid, tol: float = 1e-9) -> QsVerdict:
     if sum(1 for t in grid if t < 1) < 3:
         raise GridTooCoarse("grid needs at least three points below 1")
     depth_a, depth_b = sorted(profiles_by_depth)[-2:]
-    env_a = _Envelope(profiles_by_depth[depth_a])
-    env_b = _Envelope(profiles_by_depth[depth_b])
+    env_a = profiles_by_depth[depth_a].envelope
+    env_b = profiles_by_depth[depth_b].envelope
     eta = tuple((t, env_b.at(t)) for t in grid)
     exact_tol = Fraction(tol) if math.isfinite(tol) else None
     for t in grid:

@@ -199,6 +199,13 @@ def fat_cantor(depth: int, thetas=None) -> tuple[CellTree, IntervalEmbedding]:
     return _interval_tree(depth, thetas)
 
 
+def _capped_power(base: int, exp: int, limit: int) -> int:
+    """min(base**exp, limit) for base >= 2, without the full power."""
+    if exp >= limit.bit_length():  # base**exp >= 2**exp > limit
+        return limit
+    return min(base**exp, limit)
+
+
 def random_laminar(
     seed: int, max_branch: int = 4, max_depth: int = 8, n_points: int = 16
 ) -> CellTree:
@@ -212,10 +219,9 @@ def random_laminar(
     if max_branch < 2 or max_depth < 1 or n_points < 1:
         raise ValueError("need max_branch >= 2, max_depth >= 1, n_points >= 1")
     _check_points([n_points])
-    if max_branch**max_depth < n_points:
-        raise ValueError(
-            f"max_branch**max_depth = {max_branch**max_depth} < {n_points} points"
-        )
+    reach = _capped_power(max_branch, max_depth, n_points)
+    if reach < n_points:  # then reach is the full power
+        raise ValueError(f"max_branch**max_depth = {reach} < {n_points} points")
     rng = random.Random(seed)
     labels = tuple(f"p{i}" for i in range(n_points))
 
@@ -223,7 +229,9 @@ def random_laminar(
         size = hi - lo
         if size == 1:
             return RootedTree(label=labels[lo])
-        cap = max_branch ** (levels_left - 1)
+        # leaves per child, clamped to the size being split: any cap >= size
+        # draws the same kmin, lo_sz and hi_sz
+        cap = _capped_power(max_branch, levels_left - 1, size)
         kmin = max(2, math.ceil(size / cap))
         kmax = min(max_branch, size)
         k = rng.randint(kmin, kmax)

@@ -1,6 +1,7 @@
 """CLI integration: subcommands, exit codes, and byte determinism."""
 
 import json
+import time
 from fractions import Fraction as F
 
 from cellspace.cli import main, parse_grid
@@ -60,6 +61,18 @@ def test_generate_random_deterministic(tmp_path, capsys):
         )
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_generate_random_with_huge_max_depth_is_quick(tmp_path, capsys):
+    start = time.perf_counter()
+    code, stdout, _ = _run(
+        capsys,
+        "generate", "random", "--points", "20", "--max-depth", "100000000",
+        "--out", str(tmp_path / "r.json"),
+    )
+    assert code == 0
+    assert "points=20" in stdout
+    assert time.perf_counter() - start < 1.0
 
 
 def test_generate_ray_complete(tmp_path, capsys):

@@ -11,10 +11,19 @@ int64 kernels and with kernels of Python ints), on fat
 Cantor line metrics against regular weights (dense pairs), and on the
 sampled path forced by a low `cap`, where the value classes are distinct
 values for some tables and geometric bins for others.
+
+A profile's pairs are sorted once, on float keys with exact re-sorting of
+float ties, and its envelope is built once from that order.  The oracles
+for those are the plain `sorted(pairs)` and the envelope walk over it that
+`envelope_eval` and `qs_verdict` used to repeat on every call; they are
+checked on drawn profiles with near-tie rationals, ratios past the float
+range, float ratios and many `s` per `r`, and end to end on the
+`distortion` command's outputs.
 """
 
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import numpy as np
@@ -28,16 +37,21 @@ from cellspace import (
     WeightFn,
     distortion_profile,
     fat_cantor,
+    formats,
+    quasisym,
     random_laminar,
     synthesize_regular_weight,
     ultrametric_from_weight,
 )
+from cellspace.cli import main
 from cellspace.metrics import _exact_matrix
 from cellspace.quasisym import (
     _N_BINS,
     _SEEDED_EXTRAS,
     _STRATUM_CENTERS,
     DistortionProfile,
+    envelope_eval,
+    qs_verdict,
 )
 
 WIDE = 2**63 + 1
@@ -286,3 +300,177 @@ def test_wide_weights_give_an_object_kernel():
     d = ultrametric_from_weight(tree, random_weights(tree, random.Random(1), WIDE))
     assert d.kernel.dtype == object
     assert np.array_equal(d.kernel, _exact_matrix(d))
+
+
+# -- the sorted order and the envelope ------------------------------------------
+
+
+class RefEnvelope:
+    """H(t) = max{s : r <= t} by a walk over `sorted(pairs)`."""
+
+    def __init__(self, profile: DistortionProfile):
+        self.r_steps = []
+        self.h_vals = []
+        self.h_wits = []
+        best = None
+        best_w = None
+        for r, s in sorted(profile.pairs):
+            if best is None or s > best:
+                best = s
+                best_w = profile.pairs[(r, s)][1]
+            if self.r_steps and self.r_steps[-1] == r:
+                self.h_vals[-1] = best
+                self.h_wits[-1] = best_w
+            else:
+                self.r_steps.append(r)
+                self.h_vals.append(best)
+                self.h_wits.append(best_w)
+
+    def at(self, t):
+        k = bisect_right(self.r_steps, t)
+        return None if k == 0 else self.h_vals[k - 1]
+
+    def witness_at(self, t):
+        k = bisect_right(self.r_steps, t)
+        return None if k == 0 else self.h_wits[k - 1]
+
+
+def assert_order_and_envelope_match(p: DistortionProfile):
+    want = sorted(p.pairs)
+    got = p.distinct()
+    assert got == want
+    for (r, s), (r0, s0) in zip(got, want):
+        assert (type(r), type(s)) == (type(r0), type(s0))
+    assert [entry for _, entry in p.ordered] == [p.pairs[pair] for pair in want]
+    env, ref = p.envelope, RefEnvelope(p)
+    assert env.r_steps == ref.r_steps
+    assert env.h_vals == ref.h_vals
+    assert env.h_wits == ref.h_wits
+
+
+_THIRD = F(1, 3)
+_EPS = F(1, 10**40)
+
+# near-tie rationals share one float with their neighbours
+near_ties = st.builds(
+    lambda base, k: base + k * _EPS,
+    st.sampled_from([_THIRD, F(2, 7), F(1), F(10, 3)]),
+    st.integers(-2, 2),
+)
+huge = st.builds(lambda k, m: F(10**400 + k, m), st.integers(0, 3), st.integers(1, 3))
+tiny = st.builds(lambda k, m: F(m, 10**400 + k), st.integers(0, 3), st.integers(1, 3))
+plain = st.fractions(min_value=F(1, 10**6), max_value=F(10**6), max_denominator=10**6)
+floats = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=True),
+    st.sampled_from([5e-324, 1e-323, 1e308, 1.7976931348623157e308, 1 / 3, 0.5]),
+)
+ratios = st.one_of(near_ties, huge, tiny, plain, floats)
+
+
+@st.composite
+def drawn_profiles(draw):
+    """Profiles on few r values with many s values each, ratios drawn from
+    near-tie rationals, ratios above and below the float range, and floats."""
+    r_pool = draw(st.lists(ratios, min_size=1, max_size=6))
+    n = draw(st.integers(0, 60))
+    pairs: dict = {}
+    for i in range(n):
+        pair = (draw(st.sampled_from(r_pool)), draw(ratios))
+        pairs.setdefault(pair, [i + 1, ("x", f"y{i}", "z")])
+    return DistortionProfile(("x",), pairs, False, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_profiles())
+def test_cached_order_and_envelope_match_sort_on_drawn_profiles(p):
+    assert_order_and_envelope_match(p)
+
+
+def test_order_sorts_near_ties_past_the_float_key():
+    r1, r2 = _THIRD, _THIRD + _EPS
+    assert r1 != r2 and float(r1) == float(r2)
+    big1, big2 = F(10**400), F(10**400 + 1)
+    small1, small2 = F(1, 10**400 + 1), F(1, 10**400)
+    pairs = {}
+    for i, pair in enumerate([
+        (r2, F(1)), (r1, r2), (r1, r1), (big2, F(1)), (big1, F(2)),
+        (small2, F(1)), (small1, F(3)), (F(1, 2), F(1, 10**400)),
+    ]):
+        pairs[pair] = [1, ("x", f"y{i}", "z")]
+    p = DistortionProfile(("x",), pairs, False, len(pairs))
+    assert p.distinct() == [
+        (small1, F(3)), (small2, F(1)), (r1, r1), (r1, r2), (r2, F(1)),
+        (F(1, 2), F(1, 10**400)), (big1, F(2)), (big2, F(1)),
+    ]
+    assert_order_and_envelope_match(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(laminar_pairs(), st.booleans())
+def test_cached_order_and_envelope_match_sort_on_profiles(pair, floats):
+    d, dt = pair
+    if floats:
+        d, dt = as_floats(d), as_floats(dt)
+    for p in (distortion_profile(d, dt), distortion_profile(d, dt, cap=1)):
+        assert_order_and_envelope_match(p)
+        assert_order_and_envelope_match(p.swap())
+
+
+@pytest.mark.parametrize("floats", [False, True])
+def test_cached_order_and_envelope_match_sort_on_fat_cantor(floats):
+    d, dt = fat_cantor_pair(4, F(1, 2))
+    if floats:
+        d, dt = as_floats(d), as_floats(dt)
+    assert_order_and_envelope_match(distortion_profile(d, dt))
+
+
+def test_swap_never_inherits_the_cached_order():
+    d, dt = fat_cantor_pair(3, F(1, 3))
+    p = distortion_profile(d, dt)
+    assert p.ordered is p.ordered and p.envelope is p.envelope
+    q = p.swap()
+    assert "ordered" not in vars(q) and "envelope" not in vars(q)
+    assert q.ordered is not p.ordered and q.envelope is not p.envelope
+    assert_order_and_envelope_match(q)
+    assert q.swap().distinct() == p.distinct()
+
+
+def test_each_profile_is_sorted_once(monkeypatch):
+    calls = []
+    order = quasisym._exact_order
+
+    def counted(pairs):
+        calls.append(len(pairs))
+        return order(pairs)
+
+    monkeypatch.setattr(quasisym, "_exact_order", counted)
+    profiles = {depth: distortion_profile(*fat_cantor_pair(depth, F(1, 2))) for depth in (3, 4)}
+    grid = [F(2) ** k for k in range(-8, 2)]
+    for p in profiles.values():
+        formats.profile_to_csv(p)
+        envelope_eval(p, grid)
+    qs_verdict(profiles, grid)
+    assert calls == [len(p.pairs) for p in profiles.values()]
+
+
+def _distortion_outputs(tmp_path, tag: str) -> bytes:
+    f = tmp_path / "fat.json"
+    outdir = tmp_path / tag
+    main(["generate", "fat-cantor", "--depth", "2", "--out", str(f)])
+    code = main([
+        "distortion", str(f), "euclid", "reg:1/2", "--depths", "3,5", "--out", str(outdir),
+    ])
+    blob = f"{code}\n".encode()
+    for name in sorted(p.name for p in outdir.iterdir()):
+        blob += name.encode() + b"\n" + (outdir / name).read_bytes()
+    return blob
+
+
+def test_distortion_cli_outputs_match_the_oracle_sort_and_envelope(tmp_path, capsys, monkeypatch):
+    got = _distortion_outputs(tmp_path, "cached") + capsys.readouterr().out.encode()
+    assert b"profile_depth5.csv" in got and b"envelope_depth3.csv" in got
+    oracle_order = property(lambda p: [(pair, p.pairs[pair]) for pair in sorted(p.pairs)])
+    monkeypatch.setattr(DistortionProfile, "ordered", oracle_order)
+    monkeypatch.setattr(DistortionProfile, "envelope", property(RefEnvelope))
+    want = _distortion_outputs(tmp_path, "oracle") + capsys.readouterr().out.encode()
+    assert got == want

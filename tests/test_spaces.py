@@ -5,6 +5,7 @@ with products on complete trees, exact middle-thirds and fat Cantor interval
 arithmetic, and determinism of the random laminar generator.
 """
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -188,6 +189,44 @@ def test_random_laminar_bounds():
         random_laminar(0, max_branch=2, max_depth=3, n_points=9)
     t = random_laminar(0, max_branch=2, max_depth=4, n_points=9)
     assert max(t.depth[c] for c in t.cells()) <= 4
+
+
+# sha256 prefixes of (shape_signature, sorted member lists) of seeded trees,
+# recorded from the generator that computed max_branch**levels exactly; the
+# tight cases (2**5 = 32, 3**3 = 27, 5**2 = 25 points) clamp at every level
+RANDOM_LAMINAR_PINS = {
+    (7, 4, 8, 20): "cf071b7725370300",
+    (3, 2, 5, 32): "5e5971c48172b748",
+    (11, 3, 3, 27): "6d8d242612fd3a22",
+    (5, 2, 24, 300): "df7bfb6757e11cbf",
+    (9, 4, 3, 50): "20aa298eb710495b",
+    (1, 3, 40, 200): "8f2f7cf2f641a12a",
+    (2, 5, 2, 25): "8e014038852de509",
+}
+
+
+@pytest.mark.parametrize("args", sorted(RANDOM_LAMINAR_PINS))
+def test_random_laminar_draws_are_pinned(args):
+    t = random_laminar(*args)
+    members = sorted(sorted(m) for m in t.members)
+    digest = hashlib.sha256(repr((t.shape_signature(), members)).encode()).hexdigest()
+    assert digest[:16] == RANDOM_LAMINAR_PINS[args]
+
+
+def test_random_laminar_small_tree_is_pinned():
+    t = random_laminar(0, 2, 4, 9)
+    assert t.shape_signature() == (((), ()), (((), ((), ())), (((), ()), ((), ()))))
+    assert sorted(sorted(m) for m in t.members if len(m) > 1) == [
+        [0, 1], [0, 1, 2, 3], [0, 1, 2, 3, 4, 5, 6], [0, 1, 2, 3, 4, 5, 6, 7, 8],
+        [2, 3], [4, 5], [4, 5, 6], [7, 8],
+    ]
+
+
+def test_random_laminar_huge_depth_is_cheap():
+    # the cap on leaves per child never exceeds the points being split
+    assert random_laminar(1, 3, 10**7, 20) == random_laminar(1, 3, 20, 20)
+    with pytest.raises(ValueError, match=r"max_branch\*\*max_depth = 8 < 9 points"):
+        random_laminar(0, max_branch=2, max_depth=3, n_points=9)
 
 
 def test_round_trip_through_rays():
