@@ -53,7 +53,10 @@ def space_to_obj(
     embedding: IntervalEmbedding | None = None,
     generator: dict | None = None,
 ) -> dict:
-    def node(c: int) -> dict:
+    """The document of a tree as nested dicts, built bottom-up: cell ids run
+    in preorder, so each child's dict is built before its parent's."""
+    nodes: list = [None] * tree.n_cells
+    for c in reversed(tree.cells()):
         if tree.is_leaf(c):
             i = next(iter(tree.members[c]))
             out: dict = {"point": tree.points[i]}
@@ -67,13 +70,13 @@ def space_to_obj(
                 ]
             if measure is not None:
                 out["measure"] = frac_str(measure.values[i])
-            return out
-        out = {"children": [node(k) for k in tree.children[c]]}
-        if weights is not None:
-            out["weight"] = frac_str(weights[c])
-        return out
+        else:
+            out = {"children": [nodes[k] for k in tree.children[c]]}
+            if weights is not None:
+                out["weight"] = frac_str(weights[c])
+        nodes[c] = out
 
-    obj: dict = {"format": FORMAT_NAME, "root": node(tree.ROOT)}
+    obj: dict = {"format": FORMAT_NAME, "root": nodes[tree.ROOT]}
     if generator is not None:
         obj["generator"] = generator
     if embedding is not None:
@@ -86,27 +89,36 @@ def dumps(obj: dict) -> str:
 
 
 def space_to_json(tree, **kwargs) -> str:
-    return dumps(space_to_obj(tree, **kwargs))
+    """The tree-form document of a space.  A FormatError, naming the family
+    form, when the tree is nested deeper than `json.dumps` can write."""
+    try:
+        return dumps(space_to_obj(tree, **kwargs))
+    except RecursionError:
+        raise FormatError(_TOO_DEEP) from None
 
 
 def _parse_node(obj, path="root") -> RootedTree:
-    if not isinstance(obj, dict):
-        raise FormatError(f"{path}: node must be an object")
-    if "point" in obj:
-        label = obj["point"]
-        if not isinstance(label, str):
-            raise FormatError(f"{path}: point label must be a string")
-        node = RootedTree(label=label)
+    """The rooted tree of a node object, parsed from a stack in document
+    order: the first bad node is reported, and no recursion limit applies."""
+    root = RootedTree()
+    stack = [(obj, path, root)]
+    while stack:
+        obj, path, node = stack.pop()
+        if not isinstance(obj, dict):
+            raise FormatError(f"{path}: node must be an object")
         node.payload = obj  # type: ignore[attr-defined]
-        return node
-    kids = obj.get("children")
-    if not isinstance(kids, list) or not kids:
-        raise FormatError(f"{path}: internal node needs a nonempty children list")
-    node = RootedTree(
-        children=[_parse_node(k, f"{path}.children[{i}]") for i, k in enumerate(kids)]
-    )
-    node.payload = obj  # type: ignore[attr-defined]
-    return node
+        if "point" in obj:
+            node.label = obj["point"]
+            if not isinstance(node.label, str):
+                raise FormatError(f"{path}: point label must be a string")
+            continue
+        kids = obj.get("children")
+        if not isinstance(kids, list) or not kids:
+            raise FormatError(f"{path}: internal node needs a nonempty children list")
+        node.children = [RootedTree() for _ in kids]
+        for i in reversed(range(len(kids))):
+            stack.append((kids[i], f"{path}.children[{i}]", node.children[i]))
+    return root
 
 
 def _document(text_or_obj) -> dict:
@@ -115,6 +127,8 @@ def _document(text_or_obj) -> dict:
             obj = json.loads(text_or_obj)
         except json.JSONDecodeError as e:
             raise FormatError(f"not valid JSON: {e}") from None
+        except RecursionError:  # nested deeper than json.loads can read
+            raise FormatError(_TOO_DEEP) from None
     else:
         obj = text_or_obj
     if not isinstance(obj, dict):
@@ -136,28 +150,18 @@ _TOO_DEEP = (
 
 def load_tree(text_or_obj) -> RootedTree:
     """Parse the rooted tree of a tree-form document or a bare node."""
-    try:
-        root_obj = _root_obj(_document(text_or_obj))
-        if root_obj is None:
-            raise FormatError("document has no root node")
-        return _parse_node(root_obj)
-    except RecursionError:
-        raise FormatError(_TOO_DEEP) from None
+    root_obj = _root_obj(_document(text_or_obj))
+    if root_obj is None:
+        raise FormatError("document has no root node")
+    return _parse_node(root_obj)
 
 
 def load_space(text_or_obj, strict: bool = True) -> LoadedSpace:
     """Parse a cellspace-v1 document (tree form or family form).
 
-    The tree form is parsed recursively, so nesting beyond the interpreter's
-    recursion limit is a FormatError; the family form has no nesting.
+    Nothing here recurses, so only `json.loads` limits the nesting of a
+    tree-form text: a deeper document is a FormatError.
     """
-    try:
-        return _load_space(text_or_obj, strict)
-    except RecursionError:
-        raise FormatError(_TOO_DEEP) from None
-
-
-def _load_space(text_or_obj, strict: bool) -> LoadedSpace:
     obj = _document(text_or_obj)
     generator = obj.get("generator")
     if "points" in obj and "cells" in obj:
@@ -184,13 +188,20 @@ def _load_space(text_or_obj, strict: bool) -> LoadedSpace:
     weight_by_set: dict = {}
     leaf_payload: dict = {}
 
-    def walk(node: RootedTree) -> frozenset:
+    below: dict = {}  # id(node) -> point indices below it
+    order, stack = [], [rooted]
+    while stack:  # node, then children right to left: reversed, a postorder
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.children)
+    for node in reversed(order):
         payload = node.payload  # type: ignore[attr-defined]
         if node.is_leaf():
             s = frozenset({idx[node.label]})
             leaf_payload[s] = payload
         else:
-            s = frozenset().union(*(walk(k) for k in node.children))
+            s = frozenset().union(*(below.pop(id(k)) for k in node.children))
+        below[id(node)] = s
         if "weight" in payload:
             w = parse_frac(payload["weight"])
             if weight_by_set.get(s, w) != w:
@@ -198,9 +209,6 @@ def _load_space(text_or_obj, strict: bool) -> LoadedSpace:
                     f"conflicting weights for collapsed cell {sorted(s)}"
                 )
             weight_by_set[s] = w
-        return s
-
-    walk(rooted)
 
     weights = None
     if weight_by_set:

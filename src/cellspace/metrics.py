@@ -13,7 +13,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 
 import numpy as np
 
@@ -29,23 +30,40 @@ from .spaces import IntervalEmbedding
 _INT64_LIMIT = 2**62
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MetricTable:
-    """Symmetric distance matrix over labeled points.
+    """Distance matrix over labeled points, kept as one numpy kernel.
 
-    Entries are exact Fractions by default; imported float tables carry an
-    explicit comparison tolerance.  Every exact comparison reads one cached
-    kernel, `kernel`: the table as a read-only numpy array, built once per
-    table.  Exact tables are rescaled over their common denominator, in
-    int64 when it fits and as Python ints otherwise, so every verdict is
-    exact; float tables are float64.  `ultrametric_from_weight` fills the
-    kernel directly from the cell weights.
+    An exact table is an integer kernel over one common denominator `den`
+    (int64 when every sum of two entries fits, else Python ints); a float
+    table (``exact=False``) is a float64 kernel with a tolerance.  Every
+    comparison reads the kernel; Fractions (floats) are built only at the
+    edge: `d`, witnesses and slacks, `value_codes` values and `rows`.
+    ``MetricTable(labels, rows, ...)`` builds its kernel from the rows on
+    first use; `from_kernel` builds no rows until they are read.
     """
 
     labels: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    rows: tuple[tuple, ...]  # a field, for ==, repr and replace; see `rows`
     exact: bool = True
     tol: float = 0.0
+
+    def __init__(self, labels, rows, exact: bool = True, tol: float = 0.0):
+        self.__dict__.update(labels=labels, rows=rows, exact=exact, tol=tol)
+
+    @classmethod
+    def from_kernel(cls, labels, kernel: np.ndarray, den: int | None, tol: float = 0.0):
+        """The table kernel / den, read-only; a float table when den is None."""
+        kernel.flags.writeable = False
+        table = cls.__new__(cls)
+        table.__dict__.update(labels=labels, exact=den is not None, tol=tol)
+        table.__dict__["_kernel_den"] = (kernel, den)
+        return table
+
+    @cached_property
+    def rows(self) -> tuple[tuple, ...]:
+        """The n x n entries, built from the kernel on first read and kept."""
+        return tuple(tuple(map(self._value, row)) for row in self.kernel.tolist())
 
     @property
     def n(self) -> int:
@@ -57,67 +75,68 @@ class MetricTable:
         except KeyError:
             raise KeyError(f"unknown point {label!r}") from None
 
-    @property
-    def _index(self):
-        idx = self.__dict__.get("_index_cache")
-        if idx is None:
-            idx = {p: i for i, p in enumerate(self.labels)}
-            self.__dict__["_index_cache"] = idx
-        return idx
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {p: i for i, p in enumerate(self.labels)}
 
     def d(self, i: int, j: int):
-        return self.rows[i][j]
+        return self._value(self.kernel[i, j])
 
     def d_label(self, x: str, y: str):
-        return self.rows[self.index(x)][self.index(y)]
+        return self.d(self.index(x), self.index(y))
+
+    @cached_property
+    def _kernel_den(self) -> tuple[np.ndarray, int | None]:
+        mat, den = _exact_matrix(self)
+        mat.flags.writeable = False
+        return mat, den
 
     @property
     def kernel(self) -> np.ndarray:
-        """The exact kernel: same order as `rows`, built on first use."""
-        mat = self.__dict__.get("_kernel_cache")
-        if mat is None:
-            mat = self._keep_kernel(_exact_matrix(self))
-        return mat
+        """The read-only kernel, in the order of the labels."""
+        return self._kernel_den[0]
 
-    def _keep_kernel(self, mat: np.ndarray) -> np.ndarray:
-        mat.flags.writeable = False
-        self.__dict__["_kernel_cache"] = mat
-        return mat
+    @property
+    def den(self) -> int | None:
+        """The kernel's common denominator; None on float tables."""
+        return self._kernel_den[1]
+
+    def _value(self, k):
+        """The entry whose kernel value is k, as a Fraction or a float."""
+        return float(k) if self.den is None else Fraction(int(k), self.den)
 
     def value_codes(self) -> tuple[list, np.ndarray]:
-        """Distinct entries in increasing order, as the original objects, and
-        the n x n array of their indices.  Computed from the kernel on each
-        call; nothing is kept on the table."""
+        """Distinct entries in increasing order and the n x n array of their
+        indices, computed from the kernel on each call."""
         mat = self.kernel
         _, first, codes = np.unique(mat, return_index=True, return_inverse=True)
-        values = [self.rows[f // self.n][f % self.n] for f in first.tolist()]
-        return values, codes.reshape(mat.shape)
+        return [self._value(k) for k in mat.ravel()[first].tolist()], codes.reshape(mat.shape)
 
     def scale(self, c) -> "MetricTable":
-        c = Fraction(c) if self.exact else float(c)
-        return MetricTable(
-            self.labels,
-            tuple(tuple(c * v for v in row) for row in self.rows),
-            exact=self.exact,
-            tol=self.tol,
-        )
+        """The table times c: the kernel times c's numerator, in a dtype
+        picked again for the product, over den times c's denominator."""
+        if not self.exact:
+            return MetricTable.from_kernel(self.labels, self.kernel * float(c), None, self.tol)
+        c = Fraction(c)
+        mx = int(abs(self.kernel).max(initial=1)) * abs(c.numerator)
+        mat = self.kernel.astype(_int_dtype(mx)) * c.numerator
+        return MetricTable.from_kernel(self.labels, mat, self.den * c.denominator)
 
     def check_metric(self) -> "MetricVerdict":
-        """Zero diagonal, symmetry, positivity, and the triangle inequality."""
-        n = self.n
-        for i in range(n):
-            if self.rows[i][i] != 0:
+        """Zero diagonal, symmetry, positivity (on the kernel in numpy, first
+        failure in row-major order, diagonal first, "asymmetric" before
+        "nonpositive distance"), then `_first_violation`'s triangle scan."""
+        n, mat = self.n, self.kernel
+        upper = ~np.tri(n, dtype=bool)
+        asym = (mat != mat.T) & upper
+        bad = asym | ((mat <= 0) & upper)
+        bad[np.diag_indices(n)] = mat.diagonal() != 0
+        if bad.any():
+            i, j = divmod(int(bad.argmax()), n)
+            if i == j:
                 return MetricVerdict(False, "nonzero diagonal", (self.labels[i],))
-            for j in range(i + 1, n):
-                v = self.rows[i][j]
-                if v != self.rows[j][i]:
-                    return MetricVerdict(
-                        False, "asymmetric", (self.labels[i], self.labels[j])
-                    )
-                if v <= 0:
-                    return MetricVerdict(
-                        False, "nonpositive distance", (self.labels[i], self.labels[j])
-                    )
+            reason = "asymmetric" if asym[i, j] else "nonpositive distance"
+            return MetricVerdict(False, reason, (self.labels[i], self.labels[j]))
         wit = _first_violation(self, np.add)
         if wit is not None:
             x, z, y = wit
@@ -134,19 +153,19 @@ class MetricVerdict:
     witness: tuple
 
 
-def _exact_matrix(table: MetricTable) -> np.ndarray:
-    """Build the table's kernel from its rows.
+def _exact_matrix(table: MetricTable) -> tuple[np.ndarray, int | None]:
+    """Build the table's kernel and its denominator from its rows.
 
     Exact tables are rescaled over their common denominator: int64 when
     every sum of two entries fits, otherwise an object array of Python
-    ints.  Inexact tables are float64.
+    ints.  Inexact tables are float64, with no denominator.
     """
     if not table.exact:
-        return np.array(table.rows, dtype=float)
+        return np.array(table.rows, dtype=float), None
     den = lcm(*{v.denominator for row in table.rows for v in row})
     scaled = [[v.numerator * (den // v.denominator) for v in row] for row in table.rows]
     mx = max((abs(v) for row in scaled for v in row), default=0)
-    return np.array(scaled, dtype=_int_dtype(mx))
+    return np.array(scaled, dtype=_int_dtype(mx)), den
 
 
 def _int_dtype(mx: int):
@@ -230,8 +249,8 @@ def ultrametric_from_weight(tree: CellTree, w: WeightFn) -> MetricTable:
     diagonal.  Satisfies the strong triangle inequality by construction.
 
     The minimal cells are filled in block by block, one block per pair of
-    sibling cells; the rows and the table's kernel are both read off that
-    one cell matrix, so the kernel needs no rescaling of the rows.
+    sibling cells; the kernel is read off that one cell matrix over the
+    weights' common denominator, with no n x n Python objects.
     """
     if w.tree is not tree and w.tree != tree:
         raise ValueError("weight function belongs to a different tree")
@@ -252,10 +271,7 @@ def ultrametric_from_weight(tree: CellTree, w: WeightFn) -> MetricTable:
     den = lcm(*{v.denominator for v in values})
     scaled = [v.numerator * (den // v.denominator) for v in values]
     kernel = np.array(scaled, dtype=_int_dtype(max(map(abs, scaled))))[cell]
-    rows = tuple(map(tuple, np.array(values, dtype=object)[cell].tolist()))
-    table = MetricTable(tree.points, rows)
-    table._keep_kernel(kernel)
-    return table
+    return MetricTable.from_kernel(tree.points, kernel, den)
 
 
 def _leaf_order(tree: CellTree) -> tuple[np.ndarray, list[slice]]:
@@ -360,7 +376,7 @@ def validate_ultrametric(m: MetricTable) -> UltrametricVerdict:
     return UltrametricVerdict(
         False,
         witness=(m.labels[x], m.labels[z], m.labels[y]),
-        slack=m.rows[x][z] - max(m.rows[x][y], m.rows[y][z]),
+        slack=m.d(x, z) - max(m.d(x, y), m.d(y, z)),
     )
 
 
@@ -401,41 +417,38 @@ class Geometry:
         a, b = sorted(self.tree.members[c1]), sorted(self.tree.members[c2])
         block = self.table.kernel[np.ix_(a, b)]
         i, j = divmod(int(block.argmin()), len(b))
-        return self.table.rows[a[i]][b[j]]
+        return self.table.d(a[i], b[j])
 
     @classmethod
     def from_table(cls, tree: CellTree, table: MetricTable) -> "Geometry":
         """Cell diameters as the largest entry between sibling cells.
 
         The maxima are taken on the table's kernel permuted into leaf order,
-        one block per pair of sibling cells.  Each diameter is the `rows`
-        entry at the maximum, so values and types are those of the table.
+        one block per pair of sibling cells, and turned into the table's
+        values (Fractions or floats) once, at the end.
         """
         if tuple(table.labels) != tuple(tree.points):
             raise PointSetMismatch("table labels differ from tree points")
         order, runs = _leaf_order(tree)
         mat = table.kernel[np.ix_(order, order)]
-        diams = [Fraction(0) if table.exact else 0.0] * tree.n_cells
         keys = [mat.dtype.type(0)] * tree.n_cells  # kernel value of each diameter
         for c in sorted(tree.cells(), key=lambda c: -tree.depth[c]):
             kids = tree.children[c]
-            if not kids:
-                continue
-            top = max(kids, key=keys.__getitem__)
-            best, key = diams[top], keys[top]
+            key = max((keys[k] for k in kids), default=keys[c])
             kid_runs = [runs[k] for k in kids]
             for a, ra in enumerate(kid_runs):
                 for rb in kid_runs[a + 1 :]:
-                    block = mat[ra, rb]
-                    u, v = divmod(int(block.argmax()), block.shape[1])
-                    if block[u, v] > key:
-                        key = block[u, v]
-                        best = table.rows[order[ra.start + u]][order[rb.start + v]]
-            diams[c], keys[c] = best, key
-        return cls(tree, table, "table", tuple(diams))
+                    key = max(key, mat[ra, rb].max())  # a block holding NaN never wins
+            keys[c] = key
+        return cls(tree, table, "table", tuple(map(table._value, keys)))
 
     @classmethod
     def from_intervals(cls, tree: CellTree, emb: IntervalEmbedding) -> "Geometry":
+        """Hull diameters and gaps; the metric |p_i - p_j| on the leaf
+        representatives, scaled once to integers P over their common
+        denominator and reduced (so int64 exactly when rescaling the n^2
+        differences gives int64): the kernel is abs(P[:, None] - P[None, :]).
+        """
         if len(emb.intervals) != tree.n_points:
             raise PointSetMismatch("one interval per point required")
         hulls = [None] * tree.n_cells
@@ -459,11 +472,13 @@ class Geometry:
             else:
                 sibs = tree.children[par]
                 reps.append(right if leaf == sibs[0] else left)
-        rows = tuple(
-            tuple(abs(reps[i] - reps[j]) for j in range(tree.n_points))
-            for i in range(tree.n_points)
-        )
-        table = MetricTable(tree.points, rows)
+        den = lcm(*(r.denominator for r in reps))
+        ints = [r.numerator * (den // r.denominator) for r in reps]
+        lo = min(ints)
+        g = gcd(den, *(p - lo for p in ints))
+        ints = [(p - lo) // g for p in ints]
+        pos = np.array(ints, dtype=_int_dtype(max(ints)))
+        table = MetricTable.from_kernel(tree.points, abs(pos[:, None] - pos[None, :]), den // g)
         return cls(tree, table, "intervals", diams, tuple(hulls))
 
 

@@ -214,7 +214,7 @@ def random_laminar(
     Every internal node gets between 2 and max_branch children, never deeper
     than max_depth.  The generator is random.Random(seed) (Mersenne Twister)
     consumed in document order: child count first, then child sizes left to
-    right.
+    right.  Built from a stack, so no recursion limit caps the depth.
     """
     if max_branch < 2 or max_depth < 1 or n_points < 1:
         raise ValueError("need max_branch >= 2, max_depth >= 1, n_points >= 1")
@@ -223,32 +223,29 @@ def random_laminar(
     if reach < n_points:  # then reach is the full power
         raise ValueError(f"max_branch**max_depth = {reach} < {n_points} points")
     rng = random.Random(seed)
-    labels = tuple(f"p{i}" for i in range(n_points))
-
-    def split(lo: int, hi: int, levels_left: int) -> RootedTree:
+    root = RootedTree()
+    stack = [(root, 0, n_points, max_depth)]
+    while stack:  # preorder, children left to right: the document order
+        node, lo, hi, levels_left = stack.pop()
         size = hi - lo
         if size == 1:
-            return RootedTree(label=labels[lo])
+            node.label = f"p{lo}"
+            continue
         # leaves per child, clamped to the size being split: any cap >= size
         # draws the same kmin, lo_sz and hi_sz
         cap = _capped_power(max_branch, levels_left - 1, size)
         kmin = max(2, math.ceil(size / cap))
         kmax = min(max_branch, size)
         k = rng.randint(kmin, kmax)
-        sizes = []
+        kids = []
         rem = size
         for j in range(k):
             slots_after = k - j - 1
             lo_sz = max(1, rem - cap * slots_after)
             hi_sz = min(cap, rem - slots_after)
             s = rng.randint(lo_sz, hi_sz) if j < k - 1 else rem
-            sizes.append(s)
+            kids.append((RootedTree(), hi - rem, hi - rem + s, levels_left - 1))
             rem -= s
-        kids = []
-        at = lo
-        for s in sizes:
-            kids.append(split(at, at + s, levels_left - 1))
-            at += s
-        return RootedTree(children=kids)
-
-    return cells_of(split(0, n_points, max_depth))
+        node.children = [kid[0] for kid in kids]
+        stack.extend(reversed(kids))
+    return cells_of(root)

@@ -470,3 +470,31 @@ def test_distortion_rejects_negative_tol(tmp_path, capsys):
         )
         assert code == 2
         assert out == "" and "--tol must be nonnegative" in err
+
+
+def _validate_with_second_interval(tmp_path, capsys, quad):
+    f = tmp_path / "c.json"
+    _run(capsys, "generate", "cantor", "--depth", "2", "--out", str(f))
+    obj = json.loads(f.read_text())
+    obj["root"]["children"][0]["children"][1]["interval"] = quad
+    f.write_text(json.dumps(obj))
+    return _run(capsys, "validate", str(f))
+
+
+def test_validate_touching_sibling_intervals(tmp_path, capsys):
+    # 00 = [0, 1/9] and 01 = [1/9, 1/3] would share the representative 1/9;
+    # the document is refused while loading, before any distance is taken
+    # (output recorded with the n^2 Fraction table)
+    code, stdout, err = _validate_with_second_interval(tmp_path, capsys, [1, 9, 1, 3])
+    assert (code, stdout, err) == (1, "FAIL: leaf intervals overlap or touch\n", "")
+
+
+def test_generate_too_deep_for_the_nested_form(tmp_path, capsys, monkeypatch):
+    from cellspace import formats, spaces
+
+    tree = formats.load_space(_caterpillar_family(1500)).tree
+    monkeypatch.setattr(spaces, "random_laminar", lambda *args: tree)
+    out = tmp_path / "deep.json"
+    code, stdout, err = _run(capsys, "generate", "random", "--out", str(out))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith("malformed input:") and "family form" in err

@@ -8,6 +8,7 @@ from cellspace import (
     Geometry,
     MeasureAtoms,
     ProductSpec,
+    WeightFn,
     cantor,
     distortion_profile,
     fat_cantor,
@@ -21,8 +22,10 @@ from cellspace.formats import (
     dumps,
     envelope_to_csv,
     load_space,
+    load_tree,
     profile_to_csv,
     space_to_json,
+    space_to_obj,
     table_from_csv,
     table_to_csv,
 )
@@ -154,3 +157,44 @@ def test_synthesized_weight_round_trip():
     w = synthesize_regular_weight(tree, F(1, 2))
     loaded = load_space(space_to_json(tree, weights=w))
     assert ultrametric_from_weight(loaded.tree, loaded.weights) == ultrametric_from_weight(tree, w)
+
+
+def _caterpillar_family(levels: int) -> dict:
+    """Family form of a caterpillar: cell k holds points k..levels."""
+    cells = [list(range(k, levels + 1)) for k in range(levels)]
+    cells += [[i] for i in range(levels + 1)]
+    return {"points": [f"p{i}" for i in range(levels + 1)], "cells": cells}
+
+
+def test_deep_trees_are_parsed_and_built_without_recursion():
+    # 1,500 levels: far past the interpreter's recursion limit
+    tree = load_space(_caterpillar_family(1500)).tree
+    assert max(tree.depth) == 1500
+    w = WeightFn(tree, tuple(F(0) if tree.is_leaf(c) else F(1, 1 + tree.depth[c]) for c in tree.cells()))
+    obj = space_to_obj(tree, weights=w)  # nested dicts, no JSON text in between
+    loaded = load_space(obj)
+    assert loaded.tree == tree and loaded.weights == w
+    assert load_tree(obj).leaves()[-1].label == "p1500"
+
+
+def test_too_deep_for_json_names_the_family_form():
+    tree = load_space(_caterpillar_family(1500)).tree
+    with pytest.raises(FormatError, match="family form"):
+        space_to_json(tree)
+    shallow = load_space(_caterpillar_family(300)).tree
+    assert load_space(space_to_json(shallow)).tree == shallow
+
+
+def test_first_bad_node_in_document_order_is_reported():
+    bad = {"children": [{"point": "a"}, {"children": [{"point": 1}, {"children": []}]}, 7]}
+    with pytest.raises(FormatError, match=r"^root\.children\[1\]\.children\[0\]: point label"):
+        load_space(bad)
+    clash = {
+        "children": [
+            {"children": [{"children": [{"point": "a"}, {"point": "b"}], "weight": "1/2"}], "weight": "1/3"},
+            {"children": [{"children": [{"point": "c"}, {"point": "d"}], "weight": "1/4"}], "weight": "1/5"},
+        ],
+        "weight": "1",
+    }
+    with pytest.raises(FormatError, match=r"collapsed cell \[0, 1\]"):
+        load_space(clash)

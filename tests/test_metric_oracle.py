@@ -18,17 +18,37 @@ down: on the small tables it accepts exactly the in-domain tables that the
 triple loop accepts with zero tolerance, and it accepts random-laminar
 ultrametrics up to n = 80 with tied weights, whose single perturbed pair
 the scan must then report as the triple loop does.
+
+`check_metric` decides the diagonal, symmetry and positivity on the kernel
+in numpy; `ref_check_metric` keeps the row-major loop it replaced, so the
+first witness is compared on tables with NaN entries and planted defects
+too.  `Geometry.from_intervals` builds its kernel from the scaled leaf
+representatives; `ref_interval_rows` keeps the n^2 table of `Fraction`
+differences it replaced, and the property compares rows, value codes,
+kernel and denominator, hull diameters and separations, and the
+`check_metric` verdict on random rational embeddings, some with two
+leaves sharing a representative and some with denominators wide enough
+to force the Python-int kernel.
 """
 
 from dataclasses import replace
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellspace import Geometry, MetricTable, random_laminar, validate_ultrametric
+from cellspace import (
+    Geometry,
+    MetricTable,
+    ProductSpec,
+    fat_cantor,
+    product_space,
+    random_laminar,
+    validate_ultrametric,
+)
 from cellspace.metrics import (
     MetricVerdict,
     UltrametricVerdict,
@@ -66,6 +86,27 @@ def ref_check_metric(t: MetricTable) -> MetricVerdict:
                         (t.labels[x], t.labels[z], t.labels[y]),
                     )
     return MetricVerdict(True, "", ())
+
+
+def ref_interval_rows(tree, intervals) -> tuple:
+    """|p_i - p_j| on the leaf representatives, as n^2 Fractions: the
+    endpoint facing the first sibling, the right one on a first child."""
+    reps = []
+    for i in range(tree.n_points):
+        leaf = tree.leaf_of[i]
+        par = tree.parent[leaf]
+        left, right = intervals[i]
+        if par is None:
+            reps.append(left)
+        else:
+            reps.append(right if leaf == tree.children[par][0] else left)
+    n = tree.n_points
+    return tuple(tuple(abs(reps[i] - reps[j]) for j in range(n)) for i in range(n))
+
+
+def ref_hull(tree, intervals, c) -> tuple:
+    pts = tree.members[c]
+    return min(intervals[i][0] for i in pts), max(intervals[i][1] for i in pts)
 
 
 def ref_validate_ultrametric(t: MetricTable) -> UltrametricVerdict:
@@ -172,6 +213,127 @@ def test_check_metric_matches_triple_loop(kind, data):
     assert t.check_metric() == ref_check_metric(t)
 
 
+@st.composite
+def defective_tables(draw, kind):
+    """Symmetric tables with positive entries (n up to 14), and a few
+    planted defects: nonzero diagonals, asymmetric pairs, zero or negative
+    entries, NaN on float tables, and pairs both asymmetric and
+    nonpositive."""
+    n = draw(st.integers(1, 14))
+    one = 1.0 if kind == "float" else F(1) if kind == "int64" else 1 + F(1, WIDE_DENOMINATORS[0])
+    rows = [[one * (1 + (i * 7 + j * 7 + i * j) % 5) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        rows[i][i] = one * 0
+    bad = [one * 0, -one, one * 9] + ([float("nan")] if kind == "float" else [])
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = draw(st.sampled_from(bad))
+    labels = tuple(f"p{i}" for i in range(n))
+    if kind == "float":
+        return MetricTable(labels, tuple(map(tuple, rows)), exact=False, tol=0.0)
+    return MetricTable(labels, tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@ORACLE
+@given(data=st.data())
+def test_check_metric_reports_the_loops_first_witness(kind, data):
+    t = data.draw(defective_tables(kind))
+    assert t.check_metric() == ref_check_metric(t)
+
+
+def test_check_metric_witness_order_within_a_row():
+    z, o = F(0), F(1)
+    # row 0: pair (0, 2) is both asymmetric and nonpositive, (0, 1) is fine
+    t = MetricTable(("a", "b", "c"), ((z, o, z), (o, z, o), (-o, o, z)))
+    assert t.check_metric() == MetricVerdict(False, "asymmetric", ("a", "c"))
+    # row 1's diagonal comes after every pair of row 0
+    t = MetricTable(("a", "b", "c"), ((z, o, z), (o, o, o), (z, o, z)))
+    assert t.check_metric() == MetricVerdict(False, "nonpositive distance", ("a", "c"))
+    # and before the pairs of row 1
+    t = MetricTable(("a", "b", "c"), ((z, o, o), (o, o, z), (o, o, z)))
+    assert t.check_metric() == MetricVerdict(False, "nonzero diagonal", ("b",))
+
+
+@st.composite
+def interval_embeddings(draw, kind):
+    """A random laminar tree and one rational interval per point.
+
+    Endpoints are small integers over per-endpoint denominators, so two
+    leaves often share a representative (these embeddings bypass the
+    checks of `IntervalEmbedding`).  On the wide kind the denominators are
+    large coprime numbers, so the common denominator of the scaled
+    representatives overflows int64."""
+    n = draw(st.integers(1, 12))
+    tree = random_laminar(draw(st.integers(0, 2**32 - 1)), draw(st.integers(2, 4)), 8, n)
+    dens = WIDE_DENOMINATORS if kind == "wide" else (1, 2, 3, 6)
+
+    def endpoint():
+        return F(draw(st.integers(-3, 3)), draw(st.sampled_from(dens)))
+
+    intervals = []
+    for _ in range(n):
+        left = endpoint()
+        intervals.append((left, left + abs(endpoint())))
+    return tree, tuple(intervals)
+
+
+@pytest.mark.parametrize("kind", ("int64", "wide"))
+@ORACLE
+@given(data=st.data())
+def test_from_intervals_matches_fraction_table(kind, data):
+    tree, intervals = data.draw(interval_embeddings(kind))
+    g = Geometry.from_intervals(tree, SimpleNamespace(intervals=intervals))
+    ref = MetricTable(tree.points, ref_interval_rows(tree, intervals))
+    got = g.table
+    mat, den = _exact_matrix(ref)
+    assert got.kernel.dtype == mat.dtype and (got.kernel == mat).all() and got.den == den
+    values, codes = got.value_codes()
+    want_values, want_codes = ref.value_codes()
+    assert values == want_values and (codes == want_codes).all()
+    assert values == sorted({v for row in ref.rows for v in row})
+    assert got.check_metric() == ref_check_metric(ref)
+    for c in tree.cells():
+        lo, hi = ref_hull(tree, intervals, c)
+        assert g.diam(c) == hi - lo
+        for c2 in tree.cells():
+            if not tree.members[c] & tree.members[c2]:
+                (l1, r1), (l2, r2) = (lo, hi), ref_hull(tree, intervals, c2)
+                gap = l2 - r1 if l1 <= l2 else l1 - r2
+                if gap >= 0:
+                    assert g.separation(c, c2) == gap
+    assert "rows" not in got.__dict__  # nothing above built the rows
+    assert got.rows == ref.rows
+    assert all(type(v) is F for row in got.rows for v in row)
+
+
+def test_from_intervals_on_a_wide_fat_cantor():
+    # prime gap proportions: the kernel holds Python ints
+    tree, emb = fat_cantor(4, [F(1, p) for p in (1000003, 1000033, 1000037, 1000039)])
+    g = Geometry.from_intervals(tree, emb)
+    ref = MetricTable(tree.points, ref_interval_rows(tree, emb.intervals))
+    assert g.table.kernel.dtype == object
+    assert (g.table.kernel == _exact_matrix(ref)[0]).all()
+    assert g.table.rows == ref.rows and g.table.check_metric().ok
+
+
+@pytest.mark.parametrize(
+    "intervals, witness",
+    [
+        (((0, 1), (1, 2), (3, 4), (5, 6)), ("00", "01")),
+        (((0, 1), (2, 3), (3, 4), (4, 6)), ("10", "11")),
+        (((0, 1), (2, 3), (4, 5), (5, 6)), ("10", "11")),
+        (((0, 1), (1, 1), (1, 2), (2, 3)), ("00", "01")),
+    ],
+)
+def test_shared_representatives_are_reported_as_before(intervals, witness):
+    # witnesses recorded with the n^2 Fraction table and the row-major loop
+    tree = product_space(ProductSpec((2, 2)))
+    emb = SimpleNamespace(intervals=tuple((F(a), F(b)) for a, b in intervals))
+    v = Geometry.from_intervals(tree, emb).table.check_metric()
+    assert v == MetricVerdict(False, "nonpositive distance", witness)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @ORACLE
 @given(data=st.data())
@@ -184,16 +346,17 @@ def test_validate_ultrametric_matches_triple_loop(kind, data):
 
 def test_exact_matrix_representation():
     small = MetricTable(("a", "b"), ((F(0), F(1, 3)), (F(1, 3), F(0))))
-    assert _exact_matrix(small).dtype == np.int64
-    assert _exact_matrix(small).tolist() == [[0, 1], [1, 0]]
+    mat, den = _exact_matrix(small)
+    assert mat.dtype == np.int64 and mat.tolist() == [[0, 1], [1, 0]] and den == 3
     # common denominator 2 * (2**63 + 1): the scaled entries overflow int64
     wide = MetricTable(
         ("a", "b"), ((F(0), F(1, 2)), (F(1, 2) + F(1, 2**63 + 1), F(0)))
     )
-    mat = _exact_matrix(wide)
-    assert mat.dtype == object and mat[0, 1] == 2**63 + 1
+    mat, den = _exact_matrix(wide)
+    assert mat.dtype == object and mat[0, 1] == 2**63 + 1 and den == 2 * (2**63 + 1)
     floats = MetricTable(("a", "b"), ((0.0, 0.5), (0.5, 0.0)), exact=False)
-    assert _exact_matrix(floats).dtype == np.float64
+    mat, den = _exact_matrix(floats)
+    assert mat.dtype == np.float64 and den is None
 
 
 def test_wide_tables_decide_near_ties_exactly():
@@ -205,7 +368,7 @@ def test_wide_tables_decide_near_ties_exactly():
         (F(2) + eps, F(1), F(0)),
     )
     t = MetricTable(("a", "b", "c"), rows)
-    assert _exact_matrix(t).dtype == object
+    assert _exact_matrix(t)[0].dtype == object
     v = t.check_metric()
     assert not v.ok and v.witness == ("a", "c", "b")
     u = validate_ultrametric(t)

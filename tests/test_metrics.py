@@ -9,6 +9,7 @@ strict diameter monotonicity.
 import dataclasses
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from cellspace import (
@@ -293,3 +294,107 @@ def test_metric_table_check():
     )
     v = tri.check_metric()
     assert not v.ok and v.reason == "triangle inequality fails"
+
+
+# -- kernel tables and their rows -------------------------------------------------
+
+
+def _record_built_rows(monkeypatch) -> list:
+    """Each table whose `rows` get built from its kernel, from now on."""
+    prop = MetricTable.__dict__["rows"]
+    build, built = prop.func, []
+
+    def spy(table):
+        built.append(table)
+        return build(table)
+
+    monkeypatch.setattr(prop, "func", spy)
+    return built
+
+
+def test_library_paths_build_no_rows(monkeypatch):
+    from cellspace import MeasureAtoms, distortion_profile
+    from cellspace.analysis import (
+        measure_metric_doubling,
+        metric_doubling_constant,
+        metric_regularity,
+    )
+
+    built = _record_built_rows(monkeypatch)
+    tree = _binary(4)
+    _, m = _drho(tree, F(1, 3))
+    g = Geometry.from_intervals(*fat_cantor(4))
+    assert validate_ultrametric(m).ok and balls_equal_cells(tree, m).ok
+    assert g.table.check_metric().ok and not balls_equal_cells(tree, g.table).ok
+    for geo in (g, Geometry.from_table(tree, m)):
+        metric_regularity(tree, geo)
+        metric_doubling_constant(geo)
+        measure_metric_doubling(geo, MeasureAtoms.uniform(tree))
+    distortion_profile(g.table, m)
+    distortion_profile(g.table, m.scale(F(2, 3)), cap=4)
+    assert built == []
+    assert "rows" not in m.__dict__ and "rows" not in g.table.__dict__
+    assert m.d(0, 1) == m.rows[0][1] and built == [m]
+    assert "rows" in m.__dict__
+
+
+@pytest.mark.parametrize(
+    "c", [F(7, 3), 5, F(-1, 2), 0, F(2**40, 3), F(1, 2**40), F(3**45, 2**70)]
+)
+def test_scale_keeps_values_types_and_exactness(c):
+    tree, emb = fat_cantor(3, [F(1, 3), F(1, 5), F(2**20 + 7, 2**40)])
+    t = Geometry.from_intervals(tree, emb).table
+    s = t.scale(c)
+    assert s.exact and s.labels == t.labels
+    assert s.rows == tuple(tuple(F(c) * v for v in row) for row in t.rows)
+    assert all(type(v) is F for row in s.rows for v in row)
+    # the dtype is picked again for the product
+    big = max(abs(v) for v in s.kernel.ravel().tolist())
+    assert (s.kernel.dtype == object) == (2 * big >= 2**62)
+    same = MetricTable(s.labels, s.rows)
+    assert s.check_metric() == same.check_metric()
+    assert validate_ultrametric(s) == validate_ultrametric(same)
+
+
+def test_scale_moves_a_kernel_between_int64_and_python_ints():
+    t = MetricTable(("a", "b"), ((F(0), F(2**40)), (F(2**40), F(0))))
+    assert t.kernel.dtype == np.int64
+    up = t.scale(2**30)
+    assert up.kernel.dtype == object and up.d(0, 1) == 2**70 and type(up.d(0, 1)) is F
+    assert up.scale(F(1, 2**30)).rows == t.rows
+    assert t.scale(F(2**30, 3)).kernel.dtype == object
+    assert up.scale(F(2**-20)).kernel.dtype == object  # 2**70 stays too wide
+
+
+def test_scale_keeps_float_tables_float():
+    rows = ((0.0, 0.1, 2.5), (0.1, 0.0, 1e300), (2.5, 1e300, 0.0))
+    t = MetricTable(("a", "b", "c"), rows, exact=False, tol=1e-9)
+    s = t.scale(F(1, 3))
+    assert not s.exact and s.tol == 1e-9 and s.kernel.dtype == np.float64
+    assert s.rows == tuple(tuple(float(F(1, 3)) * v for v in row) for row in rows)
+    assert all(type(v) is float for row in s.rows for v in row)
+    assert s.value_codes()[0] == sorted({float(F(1, 3)) * v for row in rows for v in row})
+
+
+def test_cli_runs_build_no_rows(monkeypatch, tmp_path, capsys):
+    from cellspace.cli import main
+    from cellspace.formats import space_to_json
+
+    built = _record_built_rows(monkeypatch)
+    tree = _binary(3)
+    w, _ = _drho(tree, F(1, 2))
+    weighted, fat = tmp_path / "w.json", tmp_path / "fat.json"
+    weighted.write_text(space_to_json(tree, weights=w))
+    assert main(["generate", "fat-cantor", "--depth", "3", "--out", str(fat)]) == 0
+    out = ["--out", str(tmp_path / "out")]
+    for argv, code in (
+        (["validate", str(weighted)], 0),
+        (["validate", str(fat)], 0),
+        (["analyze", str(weighted)], 0),
+        (["analyze", str(fat)], 0),
+        (["distortion", str(fat), "euclid", "reg:1/2", "--depths", "2,3", *out], 1),
+        (["distortion", str(fat), "geo:1/2", "euclid", "--depths", "3,4", *out], 1),
+    ):
+        assert main(argv) == code, argv
+    capsys.readouterr()
+    assert built == []
