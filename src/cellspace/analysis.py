@@ -24,7 +24,7 @@ from .errors import (
     PointSetMismatch,
     ZeroDiameterInternalCell,
 )
-from .metrics import BallScanner, Geometry, WeightFn, _int_dtype, critical_radii
+from .metrics import BallScanner, Geometry, MetricTable, WeightFn, _int_dtype, critical_radii
 from .spaces import ProductSpec
 
 EXACT_COVER_CAP = 20  # balls with more candidate centers fall back to greedy
@@ -268,15 +268,22 @@ def metric_doubling_constant(g: Geometry) -> DoublingResult:
 
     A radius between consecutive distances realized at a center gives the
     same ball with a larger half-radius, so its cover is never harder; each
-    center is therefore scanned at the distinct positive codes of its row
-    (`BallScanner.sorted_codes`), which attains the maximum over all radii.
-    Minimum covers are exact while the ball has at most EXACT_COVER_CAP
-    candidate centers; larger balls use a greedy bound, and the result is
-    flagged inexact only when a greedy bound exceeds every exact cover.
+    center is therefore scanned at the distinct positive codes of its row,
+    in index order of the centers, which attains the maximum over all radii.
+    The witness is the first (center, radius) in that order that attains
+    the value.
+
+    On a line metric (`MetricTable.line_order`) every cover is exact, at
+    any ball size (`_line_doubling`).  On other tables minimum covers are
+    exact while the ball has at most EXACT_COVER_CAP candidate centers;
+    larger balls use a greedy bound, and the result is flagged inexact only
+    when a greedy bound exceeds every exact cover.
     """
     table = g.table
     if table.n <= 1:
         return DoublingResult(1, True, None)
+    if table.line_order is not None:
+        return _line_doubling(table, table.line_order)
     balls = BallScanner(table)
     positive = balls.bound(0)  # the codes of positive distances start here
     halves = [balls.bound(v / 2) for v in balls.values]  # code bound of half each value
@@ -305,6 +312,70 @@ def metric_doubling_constant(g: Geometry) -> DoublingResult:
     if best_greedy > best_exact:
         return DoublingResult(best_greedy, False, wit_greedy)
     return DoublingResult(best_exact, True, wit_exact)
+
+
+def _line_doubling(table: MetricTable, line: np.ndarray) -> DoublingResult:
+    """`metric_doubling_constant` of a line metric, with `line` its points
+    in line order.
+
+    A ball B(x, r) is a run of the line order, and the left-to-right rule
+    covers it with the fewest half-radius balls centered in it (exact by an
+    exchange argument; Kleinberg & Tardos, Algorithm Design, ch. 4):
+    take the first uncovered point p, center the next ball at the last
+    point of the run within r/2 of p, jump past that center's half-ball,
+    and repeat.  Every (center, code) ball takes these steps at once, so
+    the loop runs once per step of the largest cover.  Distances compare
+    as value codes against code bounds (the number of distinct values at
+    most v, or at most v/2, taken on the kernel), the same on int64 and
+    Python-int kernels.
+    """
+    n = table.n
+    keys, codes = table.kernel_codes()
+    codes = codes.astype(np.int32 if n**2 < 2**31 else np.int64)
+    halves = np.searchsorted(2 * keys, keys, side="right")  # code bound of half each value
+    # the balls in scan order: each center's distinct codes, ascending; the
+    # entries are nonnegative with a zero diagonal, so code 0 is distance 0
+    ranked = np.sort(codes, axis=1)
+    new = np.ones(ranked.shape, dtype=bool)
+    new[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    starts = np.flatnonzero(new)
+    centers = starts // n
+    ends = np.minimum(np.append(starts[1:], n * n), (centers + 1) * n)
+    ks = ranked.ravel()[starts]
+    sizes = ends - centers * n  # the points within code ks of the center
+    keep = ks > 0
+    centers, ks, sizes = centers[keep], ks[keep], sizes[keep]
+    # row i holds the codes from the i-th point of the line to the j-th for
+    # j >= i (nondecreasing along the row) and -1 for j < i, shifted by
+    # i * step so that the flat array is sorted and one searchsorted reads
+    # many rows
+    step = len(keys) + 1
+    lined = codes[np.ix_(line, line)]
+    flat = np.where(np.tri(n, k=-1, dtype=bool), -1, lined) + step * np.arange(n)[:, None]
+    flat = flat.ravel()
+
+    def reach(i, bound):
+        """The first line position j >= i whose code from the i-th point is
+        at least `bound` (n if none)."""
+        return flat.searchsorted(i * step + bound) - i * n
+
+    pos = np.empty(n, dtype=np.int64)
+    pos[line] = np.arange(n)
+    hi = reach(pos[centers], ks + 1)  # each ball is the run [hi - size, hi)
+    p, half = hi - sizes, halves[ks]
+    counts = np.zeros(len(ks), dtype=np.int64)
+    todo = np.arange(len(ks))
+    while todo.size:
+        counts[todo] += 1
+        c = np.minimum(reach(p, half) - 1, hi - 1)  # the last point of the run within r/2 of p
+        p = reach(c, half)  # the first point past c's half-ball
+        more = p < hi
+        todo, p, hi, half = todo[more], p[more], hi[more], half[more]
+    best = int(counts.max(initial=1))
+    if best == 1:
+        return DoublingResult(1, True, None)
+    at = int(counts.argmax())
+    return DoublingResult(best, True, (table.labels[int(centers[at])], table._value(keys[ks[at]])))
 
 
 def measure_metric_doubling(g: Geometry, mu: MeasureAtoms):

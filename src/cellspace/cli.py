@@ -248,10 +248,20 @@ def cmd_analyze(args) -> int:
 # -- distortion --------------------------------------------------------------
 
 
-def _regenerate(generator: dict, depth: int):
+def _int_list(generator: dict, key: str) -> list[int]:
+    """generator[key] as a nonempty list of integers, else a FormatError."""
+    value = generator.get(key)
+    if not (isinstance(value, list) and value and all(type(v) is int for v in value)):
+        raise FormatError(f"generator {key!r} must be a nonempty list of integers, got {value!r}")
+    return value
+
+
+def _regenerate(generator, depth: int):
+    if not isinstance(generator, dict):
+        raise FormatError(f"generator metadata must be an object, got {generator!r}")
     kind = generator.get("kind")
     if kind == "product":
-        sizes = generator["sizes"]
+        sizes = _int_list(generator, "sizes")
         if len(set(sizes)) != 1:
             raise CellSpaceError("depth sweep needs uniform product sizes")
         return spaces.product_space(spaces.ProductSpec((sizes[0],) * depth)), None
@@ -260,6 +270,8 @@ def _regenerate(generator: dict, depth: int):
     if kind == "fat-cantor":
         thetas = generator.get("thetas")
         if thetas is not None:
+            if not isinstance(thetas, list):
+                raise FormatError(f"generator 'thetas' must be a list, got {thetas!r}")
             thetas = [formats.parse_frac(t) for t in thetas]
             if len(thetas) != depth:
                 raise CellSpaceError(
@@ -267,7 +279,7 @@ def _regenerate(generator: dict, depth: int):
                 )
         return spaces.fat_cantor(depth, thetas)
     if kind == "ray" and generator.get("complete"):
-        arity = generator["complete"][0]
+        arity = _int_list(generator, "complete")[0]
         return spaces.ray_space(spaces.complete_tree(arity, depth)), None
     raise CellSpaceError(f"generator {kind!r} does not support depth sweeps")
 

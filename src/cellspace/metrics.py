@@ -108,24 +108,57 @@ class MetricTable:
     def value_codes(self) -> tuple[list, np.ndarray]:
         """Distinct entries in increasing order and the n x n array of their
         indices, computed from the kernel on each call."""
+        keys, codes = self.kernel_codes()
+        return [self._value(k) for k in keys.tolist()], codes
+
+    def kernel_codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """`value_codes` with the distinct entries left as kernel values."""
         mat = self.kernel
         _, first, codes = np.unique(mat, return_index=True, return_inverse=True)
-        return [self._value(k) for k in mat.ravel()[first].tolist()], codes.reshape(mat.shape)
+        return mat.ravel()[first], codes.reshape(mat.shape)
+
+    @cached_property
+    def line_order(self) -> np.ndarray | None:
+        """The points sorted along a line, if this exact table is a line
+        metric; else None, and always None on float tables.
+
+        The table is a line metric when kernel[i, j] == |P_i - P_j| for
+        P = kernel[far], where far = argmax(kernel[0]) is an end of the line.
+        The rows are compared one at a time, and the test stops at the first
+        row that differs, so a table far from a line (a tree table) costs one
+        row.  Computed once per table.
+        """
+        if not self.exact or self.n == 0:
+            return None
+        mat = self.kernel
+        pos = mat[int(mat[0].argmax())]
+        for i in range(self.n):
+            if not (mat[i] == abs(pos - pos[i])).all():
+                return None
+        return np.argsort(pos, kind="stable")
 
     def scale(self, c) -> "MetricTable":
-        """The table times c: the kernel times c's numerator, in a dtype
-        picked again for the product, over den times c's denominator."""
+        """The table times c: the kernel times c's numerator over den times
+        c's denominator, both divided by their gcd, in a dtype picked again
+        for the reduced kernel (so a scale and its inverse give back the
+        table's dtype)."""
         if not self.exact:
             return MetricTable.from_kernel(self.labels, self.kernel * float(c), None, self.tol)
         c = Fraction(c)
-        mx = int(abs(self.kernel).max(initial=1)) * abs(c.numerator)
-        mat = self.kernel.astype(_int_dtype(mx)) * c.numerator
-        return MetricTable.from_kernel(self.labels, mat, self.den * c.denominator)
+        kg = int(np.gcd.reduce(self.kernel.ravel())) or 1  # 0 only on an all-zero kernel
+        den = self.den * c.denominator
+        g = gcd(kg * c.numerator, den)
+        mult = kg * c.numerator // g  # kernel // kg * mult is kernel * c.numerator // g
+        mx = int(abs(self.kernel).max(initial=0)) // kg * abs(mult)
+        mat = (self.kernel // kg).astype(_int_dtype(mx)) * mult
+        return MetricTable.from_kernel(self.labels, mat, den // g)
 
     def check_metric(self) -> "MetricVerdict":
         """Zero diagonal, symmetry, positivity (on the kernel in numpy, first
         failure in row-major order, diagonal first, "asymmetric" before
-        "nonpositive distance"), then `_first_violation`'s triangle scan."""
+        "nonpositive distance"), then the triangle inequality.  An exact
+        table with a `line_order` meets it by construction; any other table
+        (every float table among them) runs `_first_violation`'s scan."""
         n, mat = self.n, self.kernel
         upper = ~np.tri(n, dtype=bool)
         asym = (mat != mat.T) & upper
@@ -137,7 +170,7 @@ class MetricTable:
                 return MetricVerdict(False, "nonzero diagonal", (self.labels[i],))
             reason = "asymmetric" if asym[i, j] else "nonpositive distance"
             return MetricVerdict(False, reason, (self.labels[i], self.labels[j]))
-        wit = _first_violation(self, np.add)
+        wit = None if self.line_order is not None else _first_violation(self, np.add)
         if wit is not None:
             x, z, y = wit
             return MetricVerdict(

@@ -12,6 +12,11 @@ tables, checked against their own tree or against another tree on the
 same points, so that balls = cells fails too), on fat Cantor line metrics
 (where balls = cells fails), on a ball whose leaf span is a cell but
 which misses part of it, and under random point masses.
+
+On line metrics `metric_doubling_constant` covers every ball exactly, by
+the left-to-right rule; it is compared with the reference scan run with
+an exact cover on every ball, on distances between random rational points
+(repeated coordinates included, int64 and Python-int kernels).
 """
 
 import random
@@ -28,6 +33,7 @@ from cellspace import (
     MeasureAtoms,
     MetricTable,
     ProductSpec,
+    analysis,
     balls_equal_cells,
     critical_radii,
     fat_cantor,
@@ -153,7 +159,7 @@ def ref_balls_equal_cells(tree: CellTree, m: MetricTable) -> BallCellVerdict:
     )
 
 
-def ref_metric_doubling_constant(g: Geometry, radii=None) -> DoublingResult:
+def ref_metric_doubling_constant(g: Geometry, radii=None, cap=EXACT_COVER_CAP) -> DoublingResult:
     """Largest minimum number of half-radius balls needed to cover any ball.
 
     Scans every center against the critical radii (realized distances plus
@@ -161,9 +167,10 @@ def ref_metric_doubling_constant(g: Geometry, radii=None) -> DoublingResult:
     gives the same ball with a larger half-radius, so its cover is never
     harder; the default scan therefore visits, per center, only the
     distances realized at that center, which attains the same maximum.
-    Minimum covers are exact while the ball has at most EXACT_COVER_CAP
-    candidate centers; larger balls use a greedy bound, and the result is
-    flagged inexact only when a greedy bound exceeds every exact cover.
+    Minimum covers are exact while the ball has at most `cap` candidate
+    centers (every ball when `cap` is None); larger balls use a greedy
+    bound, and the result is flagged inexact only when a greedy bound
+    exceeds every exact cover.
     """
     table = g.table
     if table.n <= 1:
@@ -188,7 +195,7 @@ def ref_metric_doubling_constant(g: Geometry, radii=None) -> DoublingResult:
                 {balls.ball(y, half) for y in sorted(b)},
                 key=lambda s: (-len(s), min(s)),
             )
-            if len(b) <= EXACT_COVER_CAP:
+            if cap is None or len(b) <= cap:
                 cnt = _exact_min_cover(b, cand_sets)
                 solved[key] = (cnt, True)
                 if cnt > best_exact:
@@ -266,6 +273,24 @@ def masses(draw, n: int):
         return tuple(F(2**60 + draw(st.integers(0, 9))) for _ in range(n))
     dens = [1, 12] if kind == "small" else [2**61 - 1, 2**64 - 59, 3**41]
     return tuple(F(draw(st.integers(1, 9)), draw(st.sampled_from(dens))) for _ in range(n))
+
+
+@st.composite
+def line_tables(draw, kind):
+    """|p_i - p_j| on up to 30 random rational points in random order, with
+    repeated coordinates on about a fifth of the points.  Small
+    denominators give int64 kernels; mixed wide ones (with 1) give kernels
+    of Python ints on all but a few draws."""
+    n = draw(st.integers(1, 30))
+    dens = (1, WIDE, 3**41, 2**64 - 59) if kind == "wide" else (1, 2, 3, 7)
+    pts: list = []
+    for _ in range(n):
+        if pts and draw(st.integers(0, 4)) == 0:
+            pts.append(draw(st.sampled_from(pts)))
+        else:
+            pts.append(F(draw(st.integers(-20, 20)), draw(st.sampled_from(dens))))
+    rows = tuple(tuple(abs(p - q) for q in pts) for p in pts)
+    return MetricTable(tuple(f"p{i}" for i in range(n)), rows)
 
 
 def fat_cantor_geometry(depth: int, thetas=None) -> Geometry:
@@ -376,3 +401,28 @@ def test_doubling_matches_reference_on_products(sizes):
     assert_same_doubling(g)
     assert metric_doubling_constant(g).exact is (sizes[0] < EXACT_COVER_CAP)
     assert_same_measure_doubling(g, MeasureAtoms.uniform(tree))
+
+
+@pytest.mark.parametrize("kind", ("int64", "wide"))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_line_doubling_matches_exact_covers_of_every_ball(kind, data):
+    table = data.draw(line_tables(kind))
+    assert table.line_order is not None
+    g = Geometry(None, table, "table", ())
+    got, want = metric_doubling_constant(g), ref_metric_doubling_constant(g, cap=None)
+    assert got == want and got.exact
+    if got.witness is not None:
+        assert type(got.witness[1]) is type(want.witness[1]) is F
+
+
+@pytest.mark.parametrize("depth", (7, 8))
+def test_fat_cantor_doubling_is_exact_past_the_cover_cap(depth, monkeypatch):
+    # was "4 (upper bound)" from the greedy covers of balls past EXACT_COVER_CAP
+    def refuse(*args):
+        raise AssertionError("a line metric reached a set cover")
+
+    monkeypatch.setattr(analysis, "_exact_min_cover", refuse)
+    monkeypatch.setattr(analysis, "_greedy_cover", refuse)
+    got = metric_doubling_constant(fat_cantor_geometry(depth))
+    assert (got.value, got.exact) == (3, True)

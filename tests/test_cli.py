@@ -1,8 +1,13 @@
 """CLI integration: subcommands, exit codes, and byte determinism."""
 
+import contextlib
+import io
 import json
 import time
 from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellspace.cli import main, parse_grid
 
@@ -498,3 +503,172 @@ def test_generate_too_deep_for_the_nested_form(tmp_path, capsys, monkeypatch):
     code, stdout, err = _run(capsys, "generate", "random", "--out", str(out))
     assert code == 2 and stdout == "" and not out.exists()
     assert err.startswith("malformed input:") and "family form" in err
+
+
+def test_distortion_malformed_generator_is_malformed(tmp_path, capsys):
+    f = tmp_path / "p.json"
+    _run(capsys, "generate", "product", "--sizes", "2,2", "--out", str(f))
+    obj = json.loads(f.read_text())
+    for generator in (
+        {"kind": "product"},
+        {"kind": "product", "sizes": []},
+        {"kind": "product", "sizes": "2,2"},
+        {"kind": "fat-cantor", "thetas": 3},
+        {"kind": "ray", "complete": "2,3"},
+        "product",
+    ):
+        obj["generator"] = generator
+        f.write_text(json.dumps(obj))
+        code, out, err = _run(
+            capsys, "distortion", str(f), "geo:1/2", "geo:1/3", "--depths", "2,3",
+            "--out", str(tmp_path / "dist"),
+        )
+        assert (code, out) == (2, ""), generator
+        assert err.startswith("malformed input: generator"), err
+
+
+# -- fuzzing the exit-code contract ------------------------------------------
+
+
+def _seed_documents() -> list:
+    """Small valid documents of every form the loader reads."""
+    from cellspace import analysis, formats, metrics, spaces
+
+    product = spaces.product_space(spaces.ProductSpec((2, 2)))
+    weights = metrics.weight_from_sequence(product, [1, F(1, 2), F(1, 4)])
+    cantor, fat = spaces.cantor(2), spaces.fat_cantor(2)
+    docs = [
+        formats.space_to_obj(
+            cantor[0], embedding=cantor[1], generator={"kind": "cantor", "depth": 2}
+        ),
+        formats.space_to_obj(
+            fat[0], embedding=fat[1], generator={"kind": "fat-cantor", "depth": 2, "thetas": None}
+        ),
+        formats.space_to_obj(
+            product,
+            weights=weights,
+            measure=analysis.MeasureAtoms.uniform(product),
+            generator={"kind": "product", "sizes": [2, 2]},
+        ),
+        {"format": "cellspace-v1", "points": ["a", "b", "c"], "cells": [[0, 1, 2], [0, 1], [0], [1], [2]]},
+    ]
+    return [json.dumps(d) for d in docs]
+
+
+SEED_DOCUMENTS = _seed_documents()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.sampled_from(["", "a", "1/2", "1/0", "x"]),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(
+        st.sampled_from(["children", "point", "weight", "interval", "measure", "root", "points", "cells"]),
+        kids, max_size=3,
+    ),
+    max_leaves=8,
+)
+
+
+def _paths(obj, path=()):
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def fuzz_documents(draw) -> str:
+    """A seed document as it is or with up to three values replaced or keys
+    dropped, a random JSON value, or a seed text cut short."""
+    kind = draw(st.sampled_from(["seed", "mutated", "mutated", "value", "cut"]))
+    text = draw(st.sampled_from(SEED_DOCUMENTS))
+    if kind == "seed":
+        return text
+    if kind == "value":
+        return json.dumps(draw(JSON_VALUES))
+    if kind == "cut":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    obj = json.loads(text)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(obj))[1:]))
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(JSON_VALUES)
+    return json.dumps(obj)
+
+
+def _mostly(good: list, bad: list):
+    """One of `good` three times in four, else one of `bad`."""
+    return st.sampled_from(good * (3 * len(bad)) + bad * len(good))
+
+
+def fuzz_argv(doc: str, csv: str, out: str):
+    specs = _mostly(
+        ["auto", "euclid", "weights", "reg:1/2", "geo:1/3", "seq:1,1/2,1/4", f"csv:{csv}"],
+        ["reg:2", "seq:1", "csv:missing.csv", "reg:x", "nope"],
+    )
+    validate = st.tuples(st.just("validate"), st.just(doc), st.sampled_from([(), ("--no-strict-base",)]))
+    analyze = st.tuples(
+        st.just("analyze"), st.just(doc), st.just("--metric"), specs, st.just("--format"),
+        st.sampled_from(["json", "table"]),
+    )
+    distortion = st.tuples(
+        st.just("distortion"), st.just(doc), specs, specs,
+        st.just("--depths"), _mostly(["2,3", "1,2", "3,2"], ["3", "0,2", "2,x"]),
+        st.just("--grid"), _mostly(["pow2:-4:1", "1/8,1/4,1/2,1"], ["pow2:1:0", "x"]),
+        st.just("--tol"), _mostly(["1e-9", "0"], ["-1", "nan"]),
+        st.just("--out"), st.just(out),
+    )
+    generate = st.tuples(
+        st.just("generate"),
+        st.sampled_from(["product", "cantor", "fat-cantor", "random", "ray", "torus"]),
+        st.sampled_from([(), ("--sizes", "2,3"), ("--sizes", "1"), ("--sizes", "x")]),
+        st.sampled_from([(), ("--depth", "3"), ("--depth", "0"), ("--theta", "1/3,1/2"), ("--theta", "2")]),
+        st.sampled_from([(), ("--points", "9"), ("--points", "0"), ("--max-depth", "1")]),
+        st.sampled_from([(), ("--complete", "2,3"), ("--complete", "3"), ("--tree", doc)]),
+        st.just("--out"), st.just(out + ".json"),
+    )
+
+    def flat(parts):
+        return [p for part in parts for p in ((part,) if isinstance(part, str) else part)]
+
+    return st.one_of(validate, analyze, distortion, generate).map(flat)
+
+
+# the checks `validate` runs on a loaded space's metric
+METRIC_CHECKS = (
+    "ultrametric inequality",
+    "ball-cell correspondence",
+    "nonzero diagonal",
+    "asymmetric",
+    "nonpositive distance",
+    "triangle inequality fails",
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_fuzzed_documents_and_arguments_keep_the_exit_code_contract(tmp_path_factory, data):
+    # 0 pass, 1 a violation with its witness printed, 2 bad input or usage;
+    # never a traceback
+    wd = tmp_path_factory.mktemp("fuzz")
+    doc, csv = wd / "doc.json", wd / "table.csv"
+    doc.write_text(data.draw(fuzz_documents()))
+    csv.write_text(data.draw(st.sampled_from(["", ",a,b\na,0,1\nb,1,0\n", ",00,01\n00,0,1\n01,2,0\n"])))
+    argv = data.draw(fuzz_argv(str(doc), str(csv), str(wd / "out")))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse refuses the arguments
+            code = e.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, code, out, err)
+    assert "Traceback" not in out + err
+    if code == 1:  # one line naming the violation; a failed check names its witness
+        assert out.startswith("FAIL: ") and out.count("\n") == 1 and err == "", (argv, out, err)
+        if argv[0] == "distortion":
+            assert "witness=" in out or "undefined at small scales" in out, out
+        elif out.startswith(tuple(f"FAIL: {check}" for check in METRIC_CHECKS)):
+            assert ", witness " in out, out

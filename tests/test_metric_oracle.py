@@ -29,6 +29,13 @@ kernel and denominator, hull diameters and separations, and the
 `check_metric` verdict on random rational embeddings, some with two
 leaves sharing a representative and some with denominators wide enough
 to force the Python-int kernel.
+
+An exact table whose `line_order` is set skips the triangle scan, so the
+line test is pinned down separately: on the drawn tables it accepts
+exactly those with an end point e such that d(i, j) = |d(e, i) - d(e, j)|
+(a search over every e), and the order it returns runs along the line;
+it accepts every table of distances between rational points; and a line
+table never reaches `_first_violation`.
 """
 
 from dataclasses import replace
@@ -45,9 +52,11 @@ from cellspace import (
     MetricTable,
     ProductSpec,
     fat_cantor,
+    metrics,
     product_space,
     random_laminar,
     validate_ultrametric,
+    weight_from_sequence,
 )
 from cellspace.metrics import (
     MetricVerdict,
@@ -86,6 +95,23 @@ def ref_check_metric(t: MetricTable) -> MetricVerdict:
                         (t.labels[x], t.labels[z], t.labels[y]),
                     )
     return MetricVerdict(True, "", ())
+
+
+def ref_triangle_holds(t: MetricTable) -> bool:
+    return all(
+        t.rows[x][z] <= t.rows[x][y] + t.rows[y][z]
+        for x in range(t.n)
+        for z in range(t.n)
+        for y in range(t.n)
+    )
+
+
+def ref_is_line(t: MetricTable) -> bool:
+    """Some point e is an end of a line: d(i, j) == |d(e, i) - d(e, j)|."""
+    return any(
+        all(t.rows[i][j] == abs(t.rows[e][i] - t.rows[e][j]) for i in range(t.n) for j in range(t.n))
+        for e in range(t.n)
+    )
 
 
 def ref_interval_rows(tree, intervals) -> tuple:
@@ -211,6 +237,54 @@ ORACLE = settings(max_examples=250, deadline=None, database=None)
 def test_check_metric_matches_triple_loop(kind, data):
     t = data.draw(tables(kind))
     assert t.check_metric() == ref_check_metric(t)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@ORACLE
+@given(data=st.data())
+def test_line_order_accepts_exactly_the_line_tables(kind, data):
+    t = data.draw(tables(kind))
+    order = t.line_order
+    assert (order is not None) == (kind != "float" and ref_is_line(t))
+    if order is not None:
+        assert ref_triangle_holds(t)
+        o = order.tolist()
+        assert sorted(o) == list(range(t.n))
+        end = t.rows[o[0]]  # distances grow along the order and add up
+        assert all(t.rows[o[a]][o[b]] == end[o[b]] - end[o[a]] for a in range(t.n) for b in range(a, t.n))
+
+
+@pytest.mark.parametrize("kind", ("int64", "wide"))
+@ORACLE
+@given(data=st.data())
+def test_line_order_accepts_distances_on_the_line(kind, data):
+    dens = WIDE_DENOMINATORS + (1,) if kind == "wide" else (1, 2, 3, 6)
+    point = st.builds(F, st.integers(-9, 9), st.sampled_from(dens))
+    distinct = data.draw(st.booleans())
+    pts = data.draw(st.lists(point, min_size=1, max_size=12, unique=distinct))
+    t = MetricTable(tuple(f"p{i}" for i in range(len(pts))), tuple(tuple(abs(p - q) for q in pts) for p in pts))
+    order = t.line_order
+    assert order is not None
+    assert [pts[i] for i in order] in (sorted(pts), sorted(pts, reverse=True))
+    got = t.check_metric()
+    assert got == ref_check_metric(t)
+    assert got.ok == (len(set(pts)) == len(pts))
+
+
+def test_line_tables_skip_the_triangle_scan(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("triangle scan")
+
+    monkeypatch.setattr(metrics, "_first_violation", refuse)
+    primes = [F(1, p) for p in (1000003, 1000033, 1000037, 1000039, 1000081)]
+    for thetas in (None, primes):
+        tree, emb = fat_cantor(5, thetas)
+        assert Geometry.from_intervals(tree, emb).table.check_metric().ok
+    tree = product_space(ProductSpec((3, 3)))
+    table = ultrametric_from_weight(tree, weight_from_sequence(tree, (1, F(1, 2), F(1, 4))))
+    assert table.line_order is None
+    with pytest.raises(AssertionError, match="triangle scan"):
+        table.check_metric()
 
 
 @st.composite

@@ -361,9 +361,10 @@ def test_scale_moves_a_kernel_between_int64_and_python_ints():
     assert t.kernel.dtype == np.int64
     up = t.scale(2**30)
     assert up.kernel.dtype == object and up.d(0, 1) == 2**70 and type(up.d(0, 1)) is F
-    assert up.scale(F(1, 2**30)).rows == t.rows
+    back = up.scale(F(1, 2**30))
+    assert back.rows == t.rows and back.kernel.dtype == np.int64 and back.den == t.den
     assert t.scale(F(2**30, 3)).kernel.dtype == object
-    assert up.scale(F(2**-20)).kernel.dtype == object  # 2**70 stays too wide
+    assert up.scale(F(2**-20)).kernel.dtype == np.int64  # 2**70 / 2**20 fits again
 
 
 def test_scale_keeps_float_tables_float():
