@@ -273,9 +273,10 @@ def metric_doubling_constant(g: Geometry) -> DoublingResult:
     The witness is the first (center, radius) in that order that attains
     the value.
 
-    On a line metric (`MetricTable.line_order`) every cover is exact, at
-    any ball size (`_line_doubling`).  On other tables minimum covers are
-    exact while the ball has at most EXACT_COVER_CAP candidate centers;
+    Every cover is exact, at any ball size, on a line metric
+    (`MetricTable.line_order`, `_line_doubling`) and on a table with an
+    `ultrametric_tree` (`_tree_doubling`).  On other tables minimum covers
+    are exact while the ball has at most EXACT_COVER_CAP candidate centers;
     larger balls use a greedy bound, and the result is flagged inexact only
     when a greedy bound exceeds every exact cover.
     """
@@ -284,6 +285,8 @@ def metric_doubling_constant(g: Geometry) -> DoublingResult:
         return DoublingResult(1, True, None)
     if table.line_order is not None:
         return _line_doubling(table, table.line_order)
+    if table.ultrametric_tree is not None:
+        return _tree_doubling(table, *table.ultrametric_tree)
     balls = BallScanner(table)
     positive = balls.bound(0)  # the codes of positive distances start here
     halves = [balls.bound(v / 2) for v in balls.values]  # code bound of half each value
@@ -312,6 +315,54 @@ def metric_doubling_constant(g: Geometry) -> DoublingResult:
     if best_greedy > best_exact:
         return DoublingResult(best_greedy, False, wit_greedy)
     return DoublingResult(best_exact, True, wit_exact)
+
+
+def _half_balls(tree: CellTree, heights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (C, D) of cells of an ultrametric's cluster tree in which D
+    is a closed ball of radius h(C) / 2 inside the ball C: a maximal
+    sub-cluster of C with 2 h(D) <= h(C).
+
+    Such a D is below C, and h(C) < 2 h(parent of D).  Each cell climbs its
+    ancestors from its parent, and stops at the first one that is at least
+    twice its parent's height, so the walk visits, per cell, only the
+    ancestors within a factor two of its parent.
+    """
+    twice = 2 * heights
+    parent = np.array((0,) + tree.parent[1:], dtype=np.intp)
+    d = np.arange(1, tree.n_cells)
+    c = parent[d]
+    lim = twice[c]
+    found_c, found_d = [], []
+    while d.size:
+        live = heights[c] < lim
+        d, c, lim = d[live], c[live], lim[live]
+        hit = twice[d] <= heights[c]
+        found_c.append(c[hit])
+        found_d.append(d[hit])
+        up = c != tree.ROOT
+        d, c, lim = d[up], parent[c[up]], lim[up]
+    return np.concatenate(found_c), np.concatenate(found_d)
+
+
+def _tree_doubling(table: MetricTable, tree: CellTree, heights: np.ndarray) -> DoublingResult:
+    """`metric_doubling_constant` of a table with an `ultrametric_tree`.
+
+    The balls of positive radius are the internal cells, and the balls of
+    radius h(C) / 2 centered in a cell C partition it into its maximal
+    sub-clusters of height at most h(C) / 2 (`_half_balls`), so the minimum
+    cover of C takes one ball for each of them: exact at any ball size.
+    A center x meets the balls that contain it from the smallest up, so the
+    first attaining ball in scan order is centered at the smallest point of
+    an attaining cell, with the lowest attaining cell that contains it.
+    """
+    counts = np.bincount(_half_balls(tree, heights)[0], minlength=tree.n_cells)
+    best = int(counts.max())
+    if best <= 1:
+        return DoublingResult(1, True, None)
+    attaining = np.flatnonzero(counts == best).tolist()
+    x = min(min(tree.members[c]) for c in attaining)
+    c = min((c for c in attaining if x in tree.members[c]), key=heights.__getitem__)
+    return DoublingResult(best, True, (table.labels[x], table._value(heights[c])))
 
 
 def _line_doubling(table: MetricTable, line: np.ndarray) -> DoublingResult:
@@ -382,25 +433,62 @@ def measure_metric_doubling(g: Geometry, mu: MeasureAtoms):
     """Largest ratio mu(B(x, r)) / mu(B(x, r/2)) over centers and critical
     radii; 1 for a one-point space.
 
-    Masses are integer prefix sums along `BallScanner.orders` over the
-    atoms' common denominator (int64 when the total fits, else Python
-    ints); one Fraction is built per distinct pair of ball sizes.
+    Masses are integers over the atoms' common denominator (int64 when the
+    total fits, else Python ints), and the ratios are compared by
+    cross-multiplication (`_max_ratio`), which builds one Fraction.  On a
+    table with an `ultrametric_tree` the largest ratio at a center x is
+    that of a cell C above x to the ball of radius h(C) / 2 around x, one
+    of C's `_half_balls`, so the pairs are those of the tree and the masses
+    sum up its cells.  On any other table the masses are prefix sums along
+    `BallScanner.orders`, and the pairs are the distinct pairs of ball
+    sizes at each center.
     """
     table = g.table
     _check_alignment(g.tree, mu)
     if table.n <= 1:
         return Fraction(1)
+    common = lcm(*{v.denominator for v in mu.values})
+    scaled = [v.numerator * (common // v.denominator) for v in mu.values]
+    dtype = _int_dtype(sum(scaled))
+    found = table.ultrametric_tree
+    if found is not None:
+        tree, heights = found
+        cell_mass = [0] * tree.n_cells
+        for p, leaf in enumerate(tree.leaf_of):
+            cell_mass[leaf] = scaled[p]
+        for c in range(tree.n_cells - 1, 0, -1):  # preorder: children after their parent
+            cell_mass[tree.parent[c]] += cell_mass[c]
+        cell_mass = np.array(cell_mass, dtype=dtype)
+        big, half = _half_balls(tree, heights)
+        return _max_ratio(cell_mass[big], cell_mass[half])
     radii = critical_radii(table)
     balls = BallScanner(table)
     bounds = np.array([(balls.bound(r), balls.bound(r / 2)) for r in radii], dtype=np.intp).T
-    common = lcm(*{v.denominator for v in mu.values})
-    scaled = [v.numerator * (common // v.denominator) for v in mu.values]
-    masses = np.array(scaled, dtype=_int_dtype(sum(scaled)))
-    best = Fraction(1)
+    masses = np.array(scaled, dtype=dtype)
+    pairs = []
     for x in range(table.n):
         prefix = np.concatenate(([0], np.cumsum(masses[balls.orders[x]])))
         sizes = balls.sorted_codes[x].searchsorted(bounds)  # of B(x, r) and B(x, r/2)
         new = np.diff(sizes, prepend=-1).any(axis=0)  # both sizes ascend with r
-        for num, den in prefix[sizes[:, new]].T.tolist():
-            best = max(best, Fraction(num, den))
-    return best
+        pairs.append(prefix[sizes[:, new]])
+    num, den = np.concatenate(pairs, axis=1)
+    return _max_ratio(num, den)
+
+
+def _max_ratio(num: np.ndarray, den: np.ndarray) -> Fraction:
+    """The largest num[i] / den[i], and at least 1, as one Fraction.
+
+    Positive integer arrays; the ratios are compared by cross-multiplication
+    in a knockout of halves, in int64 when every product fits, else in
+    Python ints.
+    """
+    top = int(num.max(initial=1)) * int(den.max(initial=1))
+    num = np.append(num, 1).astype(_int_dtype(top))
+    den = np.append(den, 1).astype(num.dtype)
+    while len(num) > 1:
+        k = len(num) // 2
+        a, b = slice(0, k), slice(k, 2 * k)
+        later = num[b] * den[a] > num[a] * den[b]
+        num = np.concatenate((np.where(later, num[b], num[a]), num[2 * k :]))
+        den = np.concatenate((np.where(later, den[b], den[a]), den[2 * k :]))
+    return Fraction(int(num[0]), int(den[0]))

@@ -128,7 +128,6 @@ class CellTree:
         points = tuple(points)
         fam = sorted(dict.fromkeys(sets), key=lambda s: (-len(s), min(s)))
         owner = [0] * len(points)
-        parent_of: list[int | None] = [None]
         kids: list[list[int]] = [[] for _ in fam]
         for i in range(1, len(fam)):
             s = fam[i]
@@ -141,36 +140,48 @@ class CellTree:
                     {points[p] for p in s},
                     (points[min(t & s)], points[min(t ^ s)]),
                 )
-            parent_of.append(a)
             kids[a].append(i)
             for p in s:
                 owner[p] = i
-        mins = [min(s) for s in fam]
-        for ks in kids:
-            ks.sort(key=mins.__getitem__)
-        # depth-first preorder ids
+        return cls._from_children(points, fam, kids, 0)[0]
+
+    @classmethod
+    def _from_children(cls, points, sets, kids, root: int) -> tuple["CellTree", list[int]]:
+        """The canonical tree of a rooted forest of point sets, and the index
+        into `sets` of each cell.
+
+        ``kids[i]`` lists the sets directly below ``sets[i]`` (sorted in
+        place, by smallest point); they must partition it, and every
+        singleton must be a set with no kids.  Sets not reachable from
+        `root` are left out.  Cells are numbered in depth-first preorder.
+        """
+        points = tuple(points)
+        mins = [min(s) for s in sets]
         order: list[int] = []
-        stack = [0]
+        up: list[int | None] = [None] * len(sets)  # the parent of each set
+        stack = [root]
         while stack:
             i = stack.pop()
             order.append(i)
-            stack.extend(reversed(kids[i]))
-        ids = [0] * len(fam)
+            below = kids[i]
+            below.sort(key=mins.__getitem__)
+            for k in below:
+                up[k] = i
+            stack.extend(reversed(below))
+        ids = [0] * len(sets)
         for c, i in enumerate(order):
             ids[i] = c
-        parent = tuple(
-            None if parent_of[i] is None else ids[parent_of[i]] for i in order
-        )
+        parent = tuple(None if up[i] is None else ids[up[i]] for i in order)
         children = tuple(tuple(ids[k] for k in kids[i]) for i in order)
-        members = tuple(fam[i] for i in order)
         depth_list = [0] * len(order)
-        for c in range(1, len(order)):
+        for c in range(1, len(order)):  # preorder: a parent before its children
             depth_list[c] = depth_list[parent[c]] + 1
+        members = tuple(sets[i] for i in order)
         leaf_of = [0] * len(points)
         for c, s in enumerate(members):
             if len(s) == 1 and not children[c]:
                 leaf_of[next(iter(s))] = c
-        return cls(
+        tree = cls(
             points=points,
             parent=parent,
             children=children,
@@ -178,6 +189,7 @@ class CellTree:
             depth=tuple(depth_list),
             leaf_of=tuple(leaf_of),
         )
+        return tree, order
 
     # -- structural navigation -------------------------------------------
 
@@ -360,21 +372,24 @@ def validate_family(points, subsets, strict: bool = True) -> CellTree:
         raise CellSpaceError(f"point labels are not distinct: {points}")
     n = len(points)
     full = frozenset(range(n))
-    fam: list[frozenset[int]] = []
-    seen: set[frozenset[int]] = set()
-    for s in subsets:
+    at: dict[frozenset[int], int] = {}  # each distinct set and its first position
+    for k, s in enumerate(subsets):
         fs = frozenset(s)
         if not fs:
-            raise EmptyCell("family contains the empty set")
+            raise EmptyCell(f"family contains the empty set (cell {k} of the family)")
         if not fs <= full:
             raise KeyError(f"subset {sorted(fs)} mentions unknown point indices")
-        if fs not in seen:
-            seen.add(fs)
-            fam.append(fs)
-    if full not in seen:
-        raise MissingRoot("family does not contain the full point set")
-    missing = [i for i in range(n) if frozenset({i}) not in seen]
-    tree = CellTree._from_member_sets(points, fam + [frozenset({i}) for i in missing])
+        at.setdefault(fs, k)
+    if full not in at:
+        if not at:
+            raise MissingRoot("family does not contain the full point set; it has no cells")
+        largest = max(at, key=len)
+        raise MissingRoot(
+            f"family does not contain the full point set; its largest cell (cell {at[largest]} "
+            f"of the family, {len(largest)} points) misses point {points[min(full - largest)]!r}"
+        )
+    missing = [i for i in range(n) if frozenset({i}) not in at]
+    tree = CellTree._from_member_sets(points, [*at, *(frozenset({i}) for i in missing)])
     if strict and missing:
         raise NotABase(points[missing[0]])
     return tree

@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import analysis, formats, metrics, quasisym, spaces
-from .errors import CellSpaceError, FormatError
+from .errors import CellSpaceError, FormatError, PointSetMismatch
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -146,7 +146,8 @@ def cmd_validate(args) -> int:
 # -- analyze -----------------------------------------------------------------
 
 
-def _metric_spec_geometry(spec: str, tree, embedding=None, weights=None):
+def _metric_spec_table(spec: str, tree, embedding=None, weights=None):
+    """The distance table of a metric spec on the points of `tree`."""
     if spec == "auto":
         if embedding is not None:
             spec = "euclid"
@@ -157,7 +158,7 @@ def _metric_spec_geometry(spec: str, tree, embedding=None, weights=None):
     if spec == "euclid":
         if embedding is None:
             raise CellSpaceError("metric 'euclid' needs per-leaf intervals")
-        return metrics.Geometry.from_intervals(tree, embedding)
+        return metrics.interval_table(tree, embedding)
     if spec == "weights":
         if weights is None:
             raise CellSpaceError("metric 'weights' needs weights in the file")
@@ -174,10 +175,20 @@ def _metric_spec_geometry(spec: str, tree, embedding=None, weights=None):
         table = formats.table_from_csv(Path(spec[4:]).read_text(encoding="utf-8"))
         if not (verdict := table.check_metric()).ok:
             raise FormatError(f"not a metric: {verdict.reason}, witness {verdict.witness}")
-        return metrics.Geometry.from_table(tree, table)
+        if tuple(table.labels) != tuple(tree.points):
+            raise PointSetMismatch("table labels differ from tree points")
+        return table
     else:
         raise CellSpaceError(f"unknown metric spec {spec!r}")
-    return metrics.Geometry.from_table(tree, metrics.ultrametric_from_weight(tree, w))
+    return metrics.ultrametric_from_weight(tree, w)
+
+
+def _metric_spec_geometry(spec: str, tree, embedding=None, weights=None):
+    """The geometry of a metric spec: interval hulls for `euclid` (also
+    when `auto` picks it), table diameters otherwise."""
+    if spec in ("euclid", "auto") and embedding is not None:
+        return metrics.Geometry.from_intervals(tree, embedding)
+    return metrics.Geometry.from_table(tree, _metric_spec_table(spec, tree, embedding, weights))
 
 
 def _cell_str(tree, c: int) -> str:
@@ -300,8 +311,8 @@ def cmd_distortion(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     profiles = {}
     for depth, (tree, embedding) in spaces_by_depth.items():
-        table_a = _metric_spec_geometry(args.metric_a, tree, embedding).table
-        table_b = _metric_spec_geometry(args.metric_b, tree, embedding).table
+        table_a = _metric_spec_table(args.metric_a, tree, embedding)
+        table_b = _metric_spec_table(args.metric_b, tree, embedding)
         prof = quasisym.distortion_profile(table_a, table_b, seed=args.seed)
         profiles[depth] = prof
         (outdir / f"profile_depth{depth}.csv").write_text(

@@ -137,6 +137,29 @@ class MetricTable:
                 return None
         return np.argsort(pos, kind="stable")
 
+    @cached_property
+    def _linkage(self) -> tuple[np.ndarray, np.ndarray] | None:
+        return _single_linkage(self)
+
+    @cached_property
+    def ultrametric_tree(self) -> tuple[CellTree, np.ndarray] | None:
+        """The table's closed balls as a canonical CellTree, and the kernel
+        height (diameter) of each cell; computed once per table.
+
+        The cells are the clusters of the single-linkage merges, with merges
+        at equal heights collapsed into one cell, so every internal cell is
+        strictly lower than its parent.  None when the single-linkage
+        certificate declines the table, and on a pseudo-ultrametric (some
+        entry off the diagonal is 0), whose balls are not the clusters.
+        """
+        merges = self._linkage
+        if merges is None or self.n == 0:
+            return None
+        heights, pairs = merges
+        if len(heights) and heights[0] == 0:  # the lowest merge
+            return None
+        return _cluster_tree(self.labels, heights, pairs)
+
     def scale(self, c) -> "MetricTable":
         """The table times c: the kernel times c's numerator over den times
         c's denominator, both divided by their gcd, in a dtype picked again
@@ -326,8 +349,9 @@ def _leaf_order(tree: CellTree) -> tuple[np.ndarray, list[slice]]:
     return np.array(order, dtype=np.intp), runs
 
 
-def _single_linkage_certificate(table: MetricTable) -> bool:
-    """True when the table equals its single-linkage ultrametric.
+def _single_linkage(table: MetricTable) -> tuple[np.ndarray, np.ndarray] | None:
+    """The single-linkage merges of a table that equals its single-linkage
+    ultrametric, else None.
 
     A symmetric table with a zero diagonal and no negative entry is an
     ultrametric exactly when it equals its subdominant (single-linkage)
@@ -336,17 +360,21 @@ def _single_linkage_certificate(table: MetricTable) -> bool:
     increasing order, and the kernel block between the two clusters of
     each merge must equal the edge's value.  Every pair lies in exactly one
     such block.  Blocks compare with `==`, so a float table that is an
-    ultrametric only within its tolerance is not certified.  False means
+    ultrametric only within its tolerance is not certified.  None means
     "not certified": outside the domain, or some block is not constant.
+
+    The merges come back as their heights (kernel values, nondecreasing)
+    and the pairs of clusters they join: cluster p < n is the point p, and
+    the k-th merge makes cluster n + k.
     """
     n = table.n
     mat = table.kernel.reshape(n, n)
     if not (table.exact or table.tol >= 0):
-        return False
+        return None
     if not ((mat == mat.T).all() and (mat.diagonal() == 0).all() and (mat >= 0).all()):
-        return False
+        return None
     if n < 2:
-        return True
+        return np.empty(0, dtype=mat.dtype), np.empty((0, 2), dtype=np.intp)
     # Prim: best[k] is the lightest edge from rest[k] into the tree, from near[k]
     rest = np.arange(1, n)
     best = mat[0, 1:].copy()
@@ -362,19 +390,64 @@ def _single_linkage_certificate(table: MetricTable) -> bool:
         closer = row < best[:last]
         best[:last][closer] = row[closer]
         near[:last][closer] = v
-    # single linkage: cluster members, and the cluster of each point
+    # single linkage: merge the edges in increasing order; owner[p] is the
+    # cluster of point p, named by one of its points, and node[a] its id
+    up = np.argsort(weights, kind="stable")
+    weights, ends = weights[up], ends[up]
     members = [[p] for p in range(n)]
     owner = list(range(n))
-    for e in np.argsort(weights, kind="stable").tolist():
-        a, b = owner[ends[e, 0]], owner[ends[e, 1]]
-        if not (mat[np.ix_(members[a], members[b])] == weights[e]).all():
-            return False
+    node = list(range(n))
+    pairs = []
+    for k, (i, j) in enumerate(ends.tolist()):
+        a, b = owner[i], owner[j]
+        pairs.append((node[a], node[b]))
         if len(members[a]) < len(members[b]):
             a, b = b, a
         for p in members[b]:
             owner[p] = a
         members[a] += members[b]
-    return True
+        node[a] = n + k
+    # in an order that lays out each merge's two clusters as adjacent runs,
+    # the block between them must equal the merge's value
+    size = [1] * n
+    for a, b in pairs:
+        size.append(size[a] + size[b])
+    start = [0] * (2 * n - 1)
+    for k in range(n - 2, -1, -1):
+        a, b = pairs[k]
+        start[a] = start[n + k]
+        start[b] = start[a] + size[a]
+    order = np.argsort(start[:n])
+    mat = mat[np.ix_(order, order)]
+    for (a, b), w in zip(pairs, weights.tolist()):
+        if not (mat[start[a] : start[b], start[b] : start[b] + size[b]] == w).all():
+            return None
+    return weights, np.array(pairs, dtype=np.intp)
+
+
+def _single_linkage_certificate(table: MetricTable) -> bool:
+    """True when the table equals its single-linkage ultrametric
+    (`_single_linkage`, run once per table)."""
+    return table._linkage is not None
+
+
+def _cluster_tree(labels, heights: np.ndarray, pairs: np.ndarray) -> tuple[CellTree, np.ndarray]:
+    """The clusters of positive single-linkage merges as a canonical
+    CellTree, and the height of each cell (0 on leaves).  A merge at the
+    height of one of its clusters joins that cluster's children instead, so
+    every internal cell is strictly lower than its parent."""
+    n = len(labels)
+    sets = [frozenset((p,)) for p in range(n)]
+    kids: list[list[int]] = [[] for _ in range(n)]
+    height = [0] * n + heights.tolist()
+    for k, (a, b) in enumerate(pairs.tolist()):
+        below: list[int] = []
+        for c in (a, b):  # a cluster as high as the merge gives its children
+            below += kids[c] if height[c] == height[n + k] else [c]
+        kids.append(below)
+        sets.append(sets[a] | sets[b])
+    tree, order = CellTree._from_children(labels, sets, kids, len(sets) - 1)
+    return tree, np.array(height, dtype=heights.dtype)[order]
 
 
 @dataclass(frozen=True)
@@ -391,12 +464,12 @@ def validate_ultrametric(m: MetricTable) -> UltrametricVerdict:
     """Decide d(x, z) <= max(d(x, y), d(y, z)) for every triple.
 
     A table passes at once when the single-linkage certificate
-    (`_single_linkage_certificate`, O(n^2)) accepts it.  Its domain is a
-    symmetric kernel with a zero diagonal and no negative entry (and a
-    nonnegative tolerance on float tables).  The exhaustive triple scan
-    runs only when the certificate fails or the table lies outside that
-    domain: it returns the lexicographically smallest witness triple and
-    its slack on failure.  Exact tables are scanned as integers over their
+    (`_single_linkage_certificate`, O(n^2), run once per table) accepts
+    it.  Its domain is a symmetric kernel with a zero diagonal and no
+    negative entry (and a nonnegative tolerance on float tables).  The
+    exhaustive triple scan runs only when the certificate fails or the
+    table lies outside that domain: it returns the lexicographically
+    smallest witness triple and its slack on failure.  Exact tables are scanned as integers over their
     common denominator (int64, or Python ints when that would overflow);
     float tables are scanned with their tolerance.
     """
@@ -477,13 +550,8 @@ class Geometry:
 
     @classmethod
     def from_intervals(cls, tree: CellTree, emb: IntervalEmbedding) -> "Geometry":
-        """Hull diameters and gaps; the metric |p_i - p_j| on the leaf
-        representatives, scaled once to integers P over their common
-        denominator and reduced (so int64 exactly when rescaling the n^2
-        differences gives int64): the kernel is abs(P[:, None] - P[None, :]).
-        """
-        if len(emb.intervals) != tree.n_points:
-            raise PointSetMismatch("one interval per point required")
+        """Hull diameters and gaps, and the point metric `interval_table`."""
+        table = interval_table(tree, emb)
         hulls = [None] * tree.n_cells
         for c in sorted(tree.cells(), key=lambda c: -tree.depth[c]):
             if tree.is_leaf(c):
@@ -495,24 +563,36 @@ class Geometry:
                     max(hulls[k][1] for k in kids),
                 )
         diams = tuple(r - l for l, r in hulls)
-        reps = []
-        for i in range(tree.n_points):
-            leaf = tree.leaf_of[i]
-            par = tree.parent[leaf]
-            left, right = emb.intervals[i]
-            if par is None:
-                reps.append(left)
-            else:
-                sibs = tree.children[par]
-                reps.append(right if leaf == sibs[0] else left)
-        den = lcm(*(r.denominator for r in reps))
-        ints = [r.numerator * (den // r.denominator) for r in reps]
-        lo = min(ints)
-        g = gcd(den, *(p - lo for p in ints))
-        ints = [(p - lo) // g for p in ints]
-        pos = np.array(ints, dtype=_int_dtype(max(ints)))
-        table = MetricTable.from_kernel(tree.points, abs(pos[:, None] - pos[None, :]), den // g)
         return cls(tree, table, "intervals", diams, tuple(hulls))
+
+
+def interval_table(tree: CellTree, emb: IntervalEmbedding) -> MetricTable:
+    """The metric |p_i - p_j| on the leaf representatives: each leaf's
+    interval sampled at the endpoint facing its sibling.
+
+    The representatives are scaled once to integers P over their common
+    denominator and reduced (so int64 exactly when rescaling the n^2
+    differences gives int64): the kernel is abs(P[:, None] - P[None, :]).
+    """
+    if len(emb.intervals) != tree.n_points:
+        raise PointSetMismatch("one interval per point required")
+    reps = []
+    for i in range(tree.n_points):
+        leaf = tree.leaf_of[i]
+        par = tree.parent[leaf]
+        left, right = emb.intervals[i]
+        if par is None:
+            reps.append(left)
+        else:
+            sibs = tree.children[par]
+            reps.append(right if leaf == sibs[0] else left)
+    den = lcm(*(r.denominator for r in reps))
+    ints = [r.numerator * (den // r.denominator) for r in reps]
+    lo = min(ints)
+    g = gcd(den, *(p - lo for p in ints))
+    ints = [(p - lo) // g for p in ints]
+    pos = np.array(ints, dtype=_int_dtype(max(ints)))
+    return MetricTable.from_kernel(tree.points, abs(pos[:, None] - pos[None, :]), den // g)
 
 
 def cell_diameter(g: Geometry, c: int):
@@ -537,11 +617,18 @@ def critical_radii(table: MetricTable) -> list:
     """Realized positive distances plus midpoints of consecutive values.
 
     Every closed ball of positive radius equals a ball at one of these
-    radii, so scanning them decides ball properties for all radii.  The
-    distances are the distinct value codes of the upper triangle."""
-    values, codes = table.value_codes()
-    upper = np.bincount(codes[np.triu(np.ones(codes.shape, dtype=bool), 1)], minlength=len(values))
-    vals = [values[k] for k in np.flatnonzero(upper).tolist()]
+    radii, so scanning them decides ball properties for all radii.  On a
+    table with an `ultrametric_tree` the distances are the heights of its
+    internal cells; on any other table, the distinct value codes of the
+    upper triangle."""
+    found = table.ultrametric_tree
+    if found is not None:
+        tree, heights = found
+        vals = list(map(table._value, np.unique(heights[tree.internal_cells()]).tolist()))
+    else:
+        values, codes = table.value_codes()
+        upper = codes[np.triu(np.ones(codes.shape, dtype=bool), 1)]
+        vals = [values[k] for k in np.flatnonzero(np.bincount(upper, minlength=len(values)))]
     radii = vals[:1]
     for a, b in zip(vals, vals[1:]):
         radii += [(a + b) / 2, b]
@@ -593,9 +680,17 @@ def balls_equal_cells(tree: CellTree, m: MetricTable) -> BallCellVerdict:
         ``orders[x]``) is a cell when the span from the least to the
         greatest leaf position in it is a cell's run of the ball's size.
 
+    A table with an `ultrametric_tree` passes exactly when that tree is
+    `tree`: its balls are its clusters, and both trees are canonical, so
+    the comparison is one of families.  Any other table, and a tree
+    mismatch, runs the scans below.
+
     Witnesses: the first failing cell, then its first failing point (a);
     the first failing center, then its first failing radius (b).
     """
+    found = m.ultrametric_tree
+    if found is not None and found[0] == tree:
+        return BallCellVerdict(True, (), ())
     g = Geometry.from_table(tree, m)
     scanner = BallScanner(m)
     order, runs = _leaf_order(tree)

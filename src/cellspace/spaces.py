@@ -145,13 +145,15 @@ class IntervalEmbedding:
     thetas: tuple[Fraction, ...]
 
     def __post_init__(self):
-        prev_right = None
-        for left, right in self.intervals:
+        for i, (left, right) in enumerate(self.intervals):
             if right < left:
-                raise ValueError("interval with negative length")
-            if prev_right is not None and left <= prev_right:
-                raise ValueError("leaf intervals overlap or touch")
-            prev_right = right
+                raise ValueError(f"interval with negative length: point {i} [{left}, {right}]")
+            if i and left <= self.intervals[i - 1][1]:
+                a, b = self.intervals[i - 1]
+                raise ValueError(
+                    "leaf intervals overlap or touch: "
+                    f"point {i - 1} [{a}, {b}] and point {i} [{left}, {right}]"
+                )
 
 
 def _interval_tree(depth: int, thetas: list[Fraction]):

@@ -192,14 +192,22 @@ def test_metric_doubling_large_balls_still_correct():
 
 
 def test_metric_doubling_greedy_flag_when_bound_dominates():
-    # a single 22-point ball covered only by singletons: the max comes from
-    # a greedy bound, so the result is flagged as an upper bound
-    t = product_space(ProductSpec((22,)))
-    w = weight_from_sequence(t, [F(1), F(1, 2)])
-    g = Geometry.from_table(t, ultrametric_from_weight(t, w))
-    res = metric_doubling_constant(g)
-    assert res.value == 22
-    assert not res.exact
+    # a 23-point star, d(0, i) = 1 and d(i, j) = 2, is neither an ultrametric
+    # nor a line: the 23-point ball B(0, 1) takes 23 singletons by a greedy
+    # bound, the exact covers of the 2-point balls take 2, so the result is
+    # flagged as an upper bound
+    from cellspace import MetricTable
+
+    n = 23
+    rows = tuple(
+        tuple(F(0) if i == j else F(1) if 0 in (i, j) else F(2) for j in range(n))
+        for i in range(n)
+    )
+    table = MetricTable(tuple(f"p{i}" for i in range(n)), rows)
+    assert table.check_metric().ok
+    assert table.ultrametric_tree is None and table.line_order is None
+    res = metric_doubling_constant(Geometry(None, table, "table", ()))
+    assert (res.value, res.exact, res.witness) == (23, False, ("p0", F(1)))
 
 
 def test_measure_metric_doubling_examples():

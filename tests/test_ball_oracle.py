@@ -2,16 +2,21 @@
 
 `BallScanner`, `critical_radii`, `balls_equal_cells`,
 `metric_doubling_constant` and `measure_metric_doubling` work on the
-table's value codes and on integer masses.  The reference functions below
+table's value codes and on integer masses, or, on a table with an
+`ultrametric_tree`, on that cluster tree.  The reference functions below
 are the scans they replaced, which sort, hash and bisect the `Fraction`
 rows and sum `Fraction` masses.  The property tests compare radii, ball
 sizes and members, verdicts with their witnesses, doubling values with
 their `exact` flags and witnesses, and measure doubling ratios on random
 laminar ultrametrics (int64 and Python-int kernels, exact or as float
 tables, checked against their own tree or against another tree on the
-same points, so that balls = cells fails too), on fat Cantor line metrics
+same points, so that balls = cells fails too), on pseudo-ultrametrics
+(a point repeated, so no cluster tree), on fat Cantor line metrics
 (where balls = cells fails), on a ball whose leaf span is a cell but
-which misses part of it, and under random point masses.
+which misses part of it, and under random point masses.  The tree paths
+cover every ball exactly, so they are compared with the reference run
+with an exact cover on every ball, and no ultrametric may reach a scan
+or a set cover.
 
 On line metrics `metric_doubling_constant` covers every ball exactly, by
 the left-to-right rule; it is compared with the reference scan run with
@@ -38,12 +43,14 @@ from cellspace import (
     critical_radii,
     fat_cantor,
     measure_metric_doubling,
+    metrics,
     metric_doubling_constant,
     product_space,
     random_laminar,
     synthesize_regular_weight,
     ultrametric_from_weight,
     validate_family,
+    validate_ultrametric,
     weight_from_sequence,
 )
 from cellspace.analysis import (
@@ -240,12 +247,12 @@ KINDS = ("random", "regular", "wide")
 
 
 @st.composite
-def laminar_cases(draw, kind):
+def laminar_cases(draw, kind, foreign=True):
     """A random laminar tree, an ultrametric on its points and the tree the
-    ultrametric is checked against: its own, or (on a third of the cases)
-    another random tree on the same points.  Random weights with
-    denominator 10 give int64 kernels, with a wide denominator kernels of
-    Python ints; regular weights give many ties."""
+    ultrametric is checked against: its own, or (on a third of the cases,
+    when `foreign`) another random tree on the same points.  Random weights
+    with denominator 10 give int64 kernels, with a wide denominator kernels
+    of Python ints; regular weights give many ties."""
     seed = draw(st.integers(0, 2**32 - 1))
     n = draw(st.integers(1, 24))
     branch = draw(st.integers(2, 4))
@@ -257,9 +264,24 @@ def laminar_cases(draw, kind):
     table = ultrametric_from_weight(tree, w)
     if draw(st.booleans()):
         table = as_floats(table)
-    if draw(st.integers(0, 2)) == 0:
+    if foreign and draw(st.integers(0, 2)) == 0:
         tree = random_laminar(seed + 1, branch, 8, n)
     return tree, table
+
+
+@st.composite
+def pseudo_cases(draw, kind):
+    """A laminar case with one point repeated: the table gains a last point
+    at distance 0 from a drawn one, and the tree is a random one on the
+    larger point set."""
+    tree, table = draw(laminar_cases(kind, foreign=False))
+    n = table.n
+    i = draw(st.integers(0, n - 1))
+    rows = [list(row) + [row[i]] for row in table.rows]
+    rows.append(list(rows[i]))
+    rows[i][n] = rows[n][i] = rows[n][n] = rows[i][i]
+    tree = random_laminar(draw(st.integers(0, 2**32 - 1)), draw(st.integers(2, 4)), 8, n + 1)
+    return tree, MetricTable(tree.points, tuple(map(tuple, rows)), table.exact, table.tol)
 
 
 @st.composite
@@ -322,8 +344,8 @@ def assert_same_verdict(tree: CellTree, table: MetricTable):
         assert type(r) is type(r0)
 
 
-def assert_same_doubling(g: Geometry):
-    got, want = metric_doubling_constant(g), ref_metric_doubling_constant(g)
+def assert_same_doubling(g: Geometry, cap=EXACT_COVER_CAP):
+    got, want = metric_doubling_constant(g), ref_metric_doubling_constant(g, cap=cap)
     assert got == want
     if got.witness is not None:
         assert type(got.witness[1]) is type(want.witness[1])
@@ -342,6 +364,7 @@ def assert_same_measure_doubling(g: Geometry, mu: MeasureAtoms):
 @given(data=st.data())
 def test_ball_scans_match_reference_on_ultrametrics(kind, data):
     tree, table = data.draw(laminar_cases(kind))
+    assert table.ultrametric_tree is not None
     assert_same_balls(table)
     assert_same_radii(table)
     assert_same_verdict(tree, table)
@@ -351,11 +374,70 @@ def test_ball_scans_match_reference_on_ultrametrics(kind, data):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_doubling_matches_reference_on_ultrametrics(kind, data):
+    # every cover on the cluster tree is exact, at any ball size
     tree, table = data.draw(laminar_cases(kind))
+    assert table.ultrametric_tree is not None
     g = Geometry(tree, table, "table", ())
-    assert_same_doubling(g)
+    assert_same_doubling(g, cap=None)
+    assert metric_doubling_constant(g).exact
     mu = MeasureAtoms(table.labels, data.draw(masses(table.n)))
     assert_same_measure_doubling(g, mu)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("an ultrametric reached a ball scan or a set cover")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_ultrametrics_reach_no_ball_scan_or_set_cover(kind, data):
+    tree, table = data.draw(laminar_cases(kind, foreign=False))
+    if table.exact:  # the converse of ultrametric_from_weight
+        assert table.ultrametric_tree[0] == tree
+    else:  # rounding to floats may tie two weights
+        tree = table.ultrametric_tree[0]
+    g = Geometry(tree, table, "table", ())
+    mu = MeasureAtoms(table.labels, data.draw(masses(table.n)))
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (metrics, analysis):
+            mp.setattr(module, "BallScanner", refuse)
+        mp.setattr(analysis, "_exact_min_cover", refuse)
+        mp.setattr(analysis, "_greedy_cover", refuse)
+        mp.setattr(MetricTable, "value_codes", refuse)
+        assert validate_ultrametric(table).ok
+        assert balls_equal_cells(tree, table).ok
+        assert metric_doubling_constant(g).exact
+        measure_metric_doubling(g, mu)
+        critical_radii(table)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_pseudo_ultrametrics_keep_the_scans(kind, data):
+    # a zero distance off the diagonal: certified, but balls are not clusters
+    tree, table = data.draw(pseudo_cases(kind))
+    assert validate_ultrametric(table).ok
+    assert table.ultrametric_tree is None
+    scanned = []
+
+    class CountingScanner(BallScanner):
+        def __init__(self, table):
+            scanned.append(table)
+            super().__init__(table)
+
+    g = Geometry(tree, table, "table", ())
+    mu = MeasureAtoms(table.labels, data.draw(masses(table.n)))
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (metrics, analysis):
+            mp.setattr(module, "BallScanner", CountingScanner)
+        assert_same_radii(table)
+        assert_same_verdict(tree, table)
+        assert_same_doubling(g)
+        assert_same_measure_doubling(g, mu)
+    # balls = cells, measure doubling and, unless on a line, metric doubling
+    assert len(scanned) == 2 + (table.line_order is None)
 
 
 @settings(max_examples=10, deadline=None)
@@ -394,12 +476,14 @@ def test_ball_with_a_hole_in_its_span_is_not_a_cell():
 
 @pytest.mark.parametrize("sizes", [(22,), (23, 2), (2, 11), (3, 8)])
 def test_doubling_matches_reference_on_products(sizes):
-    # (22,) and (23, 2): balls past EXACT_COVER_CAP whose greedy bound wins
+    # (22,) and (23, 2): balls past EXACT_COVER_CAP, which the greedy scan
+    # flagged as upper bounds; the cluster tree counts them exactly
     tree = product_space(ProductSpec(sizes))
     w = weight_from_sequence(tree, [F(1, 2) ** i for i in range(len(sizes) + 1)])
     g = Geometry.from_table(tree, ultrametric_from_weight(tree, w))
-    assert_same_doubling(g)
-    assert metric_doubling_constant(g).exact is (sizes[0] < EXACT_COVER_CAP)
+    assert_same_doubling(g, cap=None)
+    got = metric_doubling_constant(g)
+    assert (got.value, got.exact) == (max(sizes), True)
     assert_same_measure_doubling(g, MeasureAtoms.uniform(tree))
 
 

@@ -491,7 +491,8 @@ def test_validate_touching_sibling_intervals(tmp_path, capsys):
     # the document is refused while loading, before any distance is taken
     # (output recorded with the n^2 Fraction table)
     code, stdout, err = _validate_with_second_interval(tmp_path, capsys, [1, 9, 1, 3])
-    assert (code, stdout, err) == (1, "FAIL: leaf intervals overlap or touch\n", "")
+    want = "FAIL: leaf intervals overlap or touch: point 0 [0, 1/9] and point 1 [1/9, 1/3]\n"
+    assert (code, stdout, err) == (1, want, "")
 
 
 def test_generate_too_deep_for_the_nested_form(tmp_path, capsys, monkeypatch):
