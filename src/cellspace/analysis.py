@@ -24,7 +24,7 @@ from .errors import (
     PointSetMismatch,
     ZeroDiameterInternalCell,
 )
-from .metrics import BallScanner, Geometry, MetricTable, WeightFn, _int_dtype, critical_radii
+from .metrics import Geometry, MetricTable, WeightFn, _int_dtype, critical_radii
 from .spaces import ProductSpec
 
 EXACT_COVER_CAP = 20  # balls with more candidate centers fall back to greedy
@@ -273,23 +273,25 @@ def metric_doubling_constant(g: Geometry) -> DoublingResult:
     The witness is the first (center, radius) in that order that attains
     the value.
 
-    Every cover is exact, at any ball size, on a line metric
-    (`MetricTable.line_order`, `_line_doubling`) and on a table with an
-    `ultrametric_tree` (`_tree_doubling`).  On other tables minimum covers
-    are exact while the ball has at most EXACT_COVER_CAP candidate centers;
+    Every cover is exact, at any ball size, on a table with an
+    `ultrametric_tree` (`_tree_doubling`) and on a line metric
+    (`MetricTable.line_order`, `_line_doubling`); the two overlap only on
+    two points, where they agree.  The line and the general scan read the
+    table's `ball_scanner`.  On other tables minimum covers are
+    exact while the ball has at most EXACT_COVER_CAP candidate centers;
     larger balls use a greedy bound, and the result is flagged inexact only
     when a greedy bound exceeds every exact cover.
     """
     table = g.table
     if table.n <= 1:
         return DoublingResult(1, True, None)
+    if table.ultrametric_tree is not None:  # before the line: no ultrametric builds a scanner
+        return _tree_doubling(table, *table.ultrametric_tree)
     if table.line_order is not None:
         return _line_doubling(table, table.line_order)
-    if table.ultrametric_tree is not None:
-        return _tree_doubling(table, *table.ultrametric_tree)
-    balls = BallScanner(table)
-    positive = balls.bound(0)  # the codes of positive distances start here
-    halves = [balls.bound(v / 2) for v in balls.values]  # code bound of half each value
+    balls = table.ball_scanner
+    positive = int(np.searchsorted(balls.keys, 0, side="right"))  # the first code of a positive key
+    halves = balls.halves.tolist()  # code bound of half each key
     best_exact, wit_exact = 1, None
     best_greedy, wit_greedy = 0, None
     solved = set()
@@ -307,11 +309,11 @@ def metric_doubling_constant(g: Geometry) -> DoublingResult:
             if len(b) <= EXACT_COVER_CAP:
                 cnt = _exact_min_cover(b, cand_sets)
                 if cnt > best_exact:
-                    best_exact, wit_exact = cnt, (table.labels[x], balls.values[k])
+                    best_exact, wit_exact = cnt, (table.labels[x], table._value(balls.keys[k]))
             else:
                 cnt = _greedy_cover(b, cand_sets)
                 if cnt > best_greedy:
-                    best_greedy, wit_greedy = cnt, (table.labels[x], balls.values[k])
+                    best_greedy, wit_greedy = cnt, (table.labels[x], table._value(balls.keys[k]))
     if best_greedy > best_exact:
         return DoublingResult(best_greedy, False, wit_greedy)
     return DoublingResult(best_exact, True, wit_exact)
@@ -376,17 +378,14 @@ def _line_doubling(table: MetricTable, line: np.ndarray) -> DoublingResult:
     point of the run within r/2 of p, jump past that center's half-ball,
     and repeat.  Every (center, code) ball takes these steps at once, so
     the loop runs once per step of the largest cover.  Distances compare
-    as value codes against code bounds (the number of distinct values at
-    most v, or at most v/2, taken on the kernel), the same on int64 and
-    Python-int kernels.
+    as codes against code bounds on the table's `ball_scanner` (``halves``
+    for r/2), the same on int64 and Python-int kernels.
     """
     n = table.n
-    keys, codes = table.kernel_codes()
-    codes = codes.astype(np.int32 if n**2 < 2**31 else np.int64)
-    halves = np.searchsorted(2 * keys, keys, side="right")  # code bound of half each value
+    balls = table.ball_scanner
     # the balls in scan order: each center's distinct codes, ascending; the
     # entries are nonnegative with a zero diagonal, so code 0 is distance 0
-    ranked = np.sort(codes, axis=1)
+    ranked = balls.sorted_codes
     new = np.ones(ranked.shape, dtype=bool)
     new[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
     starts = np.flatnonzero(new)
@@ -400,8 +399,8 @@ def _line_doubling(table: MetricTable, line: np.ndarray) -> DoublingResult:
     # j >= i (nondecreasing along the row) and -1 for j < i, shifted by
     # i * step so that the flat array is sorted and one searchsorted reads
     # many rows
-    step = len(keys) + 1
-    lined = codes[np.ix_(line, line)]
+    step = len(balls.keys) + 1
+    lined = table.kernel_codes()[1][np.ix_(line, line)]
     flat = np.where(np.tri(n, k=-1, dtype=bool), -1, lined) + step * np.arange(n)[:, None]
     flat = flat.ravel()
 
@@ -413,7 +412,7 @@ def _line_doubling(table: MetricTable, line: np.ndarray) -> DoublingResult:
     pos = np.empty(n, dtype=np.int64)
     pos[line] = np.arange(n)
     hi = reach(pos[centers], ks + 1)  # each ball is the run [hi - size, hi)
-    p, half = hi - sizes, halves[ks]
+    p, half = hi - sizes, balls.halves[ks]
     counts = np.zeros(len(ks), dtype=np.int64)
     todo = np.arange(len(ks))
     while todo.size:
@@ -426,7 +425,7 @@ def _line_doubling(table: MetricTable, line: np.ndarray) -> DoublingResult:
     if best == 1:
         return DoublingResult(1, True, None)
     at = int(counts.argmax())
-    return DoublingResult(best, True, (table.labels[int(centers[at])], table._value(keys[ks[at]])))
+    return DoublingResult(best, True, (table.labels[int(centers[at])], table._value(balls.keys[ks[at]])))
 
 
 def measure_metric_doubling(g: Geometry, mu: MeasureAtoms):
@@ -440,8 +439,9 @@ def measure_metric_doubling(g: Geometry, mu: MeasureAtoms):
     that of a cell C above x to the ball of radius h(C) / 2 around x, one
     of C's `_half_balls`, so the pairs are those of the tree and the masses
     sum up its cells.  On any other table the masses are prefix sums along
-    `BallScanner.orders`, and the pairs are the distinct pairs of ball
-    sizes at each center.
+    the `ball_scanner`'s ``orders``, at its code bounds of the
+    `critical_radii` and their halves, and the pairs are the distinct pairs
+    of ball sizes at each center.
     """
     table = g.table
     _check_alignment(g.tree, mu)
@@ -461,9 +461,8 @@ def measure_metric_doubling(g: Geometry, mu: MeasureAtoms):
         cell_mass = np.array(cell_mass, dtype=dtype)
         big, half = _half_balls(tree, heights)
         return _max_ratio(cell_mass[big], cell_mass[half])
-    radii = critical_radii(table)
-    balls = BallScanner(table)
-    bounds = np.array([(balls.bound(r), balls.bound(r / 2)) for r in radii], dtype=np.intp).T
+    balls = table.ball_scanner
+    bounds = balls.bounds(critical_radii(table))
     masses = np.array(scaled, dtype=dtype)
     pairs = []
     for x in range(table.n):

@@ -3,7 +3,7 @@
 Every run is fully determined by its arguments (randomness sits behind a
 single 64-bit seed), so identical invocations produce byte-identical files.
 Exit codes: 0 all checks pass, 1 a property violation was found, 2 bad
-input or usage.
+input or usage, or out of memory.
 """
 
 from __future__ import annotations
@@ -408,6 +408,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (OSError, ValueError) as e:  # includes CellSpaceError, JSONDecodeError
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as e:  # numpy's failed allocations among them
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return EXIT_USAGE
 
 

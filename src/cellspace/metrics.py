@@ -10,7 +10,6 @@ cell diameters and separations for table- and interval-derived geometry.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -37,8 +36,9 @@ class MetricTable:
     An exact table is an integer kernel over one common denominator `den`
     (int64 when every sum of two entries fits, else Python ints); a float
     table (``exact=False``) is a float64 kernel with a tolerance.  Every
-    comparison reads the kernel; Fractions (floats) are built only at the
-    edge: `d`, witnesses and slacks, `value_codes` values and `rows`.
+    comparison reads the kernel, and every ball question its cached
+    `kernel_codes`; Fractions (floats) are built only at the edge: `d`,
+    witnesses and slacks, `value_codes` values and `rows`.
     ``MetricTable(labels, rows, ...)`` builds its kernel from the rows on
     first use; `from_kernel` builds no rows until they are read.
     """
@@ -106,16 +106,26 @@ class MetricTable:
         return float(k) if self.den is None else Fraction(int(k), self.den)
 
     def value_codes(self) -> tuple[list, np.ndarray]:
-        """Distinct entries in increasing order and the n x n array of their
-        indices, computed from the kernel on each call."""
+        """`kernel_codes` with the keys as the table's values."""
         keys, codes = self.kernel_codes()
         return [self._value(k) for k in keys.tolist()], codes
 
     def kernel_codes(self) -> tuple[np.ndarray, np.ndarray]:
-        """`value_codes` with the distinct entries left as kernel values."""
-        mat = self.kernel
-        _, first, codes = np.unique(mat, return_index=True, return_inverse=True)
-        return mat.ravel()[first], codes.reshape(mat.shape)
+        """The distinct kernel entries in increasing order (the keys) and the
+        n x n array of their indices (the codes), read-only, made once."""
+        return self._kernel_codes
+
+    @cached_property
+    def _kernel_codes(self) -> tuple[np.ndarray, np.ndarray]:
+        keys, codes = np.unique(self.kernel, return_inverse=True)
+        codes = codes.reshape(self.kernel.shape)
+        keys.flags.writeable = codes.flags.writeable = False
+        return keys, codes
+
+    @cached_property
+    def ball_scanner(self) -> "BallScanner":
+        """The table's `BallScanner`, made once and shared by the ball layers."""
+        return BallScanner(self)
 
     @cached_property
     def line_order(self) -> np.ndarray | None:
@@ -469,9 +479,10 @@ def validate_ultrametric(m: MetricTable) -> UltrametricVerdict:
     negative entry (and a nonnegative tolerance on float tables).  The
     exhaustive triple scan runs only when the certificate fails or the
     table lies outside that domain: it returns the lexicographically
-    smallest witness triple and its slack on failure.  Exact tables are scanned as integers over their
-    common denominator (int64, or Python ints when that would overflow);
-    float tables are scanned with their tolerance.
+    smallest witness triple and its slack on failure.  Exact tables are
+    scanned as integers over their common denominator (int64, or Python
+    ints when that would overflow); float tables are scanned with their
+    tolerance.
     """
     if _single_linkage_certificate(m):
         return UltrametricVerdict(True)
@@ -527,26 +538,8 @@ class Geometry:
 
     @classmethod
     def from_table(cls, tree: CellTree, table: MetricTable) -> "Geometry":
-        """Cell diameters as the largest entry between sibling cells.
-
-        The maxima are taken on the table's kernel permuted into leaf order,
-        one block per pair of sibling cells, and turned into the table's
-        values (Fractions or floats) once, at the end.
-        """
-        if tuple(table.labels) != tuple(tree.points):
-            raise PointSetMismatch("table labels differ from tree points")
-        order, runs = _leaf_order(tree)
-        mat = table.kernel[np.ix_(order, order)]
-        keys = [mat.dtype.type(0)] * tree.n_cells  # kernel value of each diameter
-        for c in sorted(tree.cells(), key=lambda c: -tree.depth[c]):
-            kids = tree.children[c]
-            key = max((keys[k] for k in kids), default=keys[c])
-            kid_runs = [runs[k] for k in kids]
-            for a, ra in enumerate(kid_runs):
-                for rb in kid_runs[a + 1 :]:
-                    key = max(key, mat[ra, rb].max())  # a block holding NaN never wins
-            keys[c] = key
-        return cls(tree, table, "table", tuple(map(table._value, keys)))
+        """Cell diameters as the table's values of `_diameter_keys`."""
+        return cls(tree, table, "table", tuple(map(table._value, _diameter_keys(tree, table))))
 
     @classmethod
     def from_intervals(cls, tree: CellTree, emb: IntervalEmbedding) -> "Geometry":
@@ -564,6 +557,25 @@ class Geometry:
                 )
         diams = tuple(r - l for l, r in hulls)
         return cls(tree, table, "intervals", diams, tuple(hulls))
+
+
+def _diameter_keys(tree: CellTree, table: MetricTable) -> list:
+    """The kernel value of each cell's diameter: the largest entry between
+    sibling cells, one block of the kernel in leaf order per pair."""
+    if tuple(table.labels) != tuple(tree.points):
+        raise PointSetMismatch("table labels differ from tree points")
+    order, runs = _leaf_order(tree)
+    mat = table.kernel[np.ix_(order, order)]
+    keys = [mat.dtype.type(0)] * tree.n_cells
+    for c in sorted(tree.cells(), key=lambda c: -tree.depth[c]):
+        kids = tree.children[c]
+        key = max((keys[k] for k in kids), default=keys[c])
+        kid_runs = [runs[k] for k in kids]
+        for a, ra in enumerate(kid_runs):
+            for rb in kid_runs[a + 1 :]:
+                key = max(key, mat[ra, rb].max())  # a block holding NaN never wins
+        keys[c] = key
+    return keys
 
 
 def interval_table(tree: CellTree, emb: IntervalEmbedding) -> MetricTable:
@@ -619,47 +631,56 @@ def critical_radii(table: MetricTable) -> list:
     Every closed ball of positive radius equals a ball at one of these
     radii, so scanning them decides ball properties for all radii.  On a
     table with an `ultrametric_tree` the distances are the heights of its
-    internal cells; on any other table, the distinct value codes of the
-    upper triangle."""
+    internal cells; on any other table, the distinct `kernel_codes` of the
+    upper triangle.  The radii are doubled kernel values, 2a and a + b (a
+    float a + b rounds as (a + b) / 2 does), halved at the end."""
     found = table.ultrametric_tree
     if found is not None:
         tree, heights = found
-        vals = list(map(table._value, np.unique(heights[tree.internal_cells()]).tolist()))
+        vals = np.unique(heights[tree.internal_cells()])
     else:
-        values, codes = table.value_codes()
+        keys, codes = table.kernel_codes()
         upper = codes[np.triu(np.ones(codes.shape, dtype=bool), 1)]
-        vals = [values[k] for k in np.flatnonzero(np.bincount(upper, minlength=len(values)))]
-    radii = vals[:1]
-    for a, b in zip(vals, vals[1:]):
-        radii += [(a + b) / 2, b]
-    return radii
+        vals = keys[np.flatnonzero(np.bincount(upper, minlength=len(keys)))]
+    doubled = np.empty(max(2 * len(vals) - 1, 0), dtype=vals.dtype)
+    doubled[0::2] = 2 * vals
+    doubled[1::2] = vals[:-1] + vals[1:]
+    if table.den is None:
+        return [r / 2 for r in doubled.tolist()]
+    return [Fraction(r, 2 * table.den) for r in doubled.tolist()]
 
 
 class BallScanner:
-    """Closed balls of a fixed table, on its value codes (int32 when n allows).
+    """Closed balls of a fixed table, on its cached `kernel_codes`.
 
     ``orders[x]`` lists the points by code from x, ties by index, and
-    ``sorted_codes[x]`` their codes.  ``values`` are the distinct entries in
-    increasing order, so the ball of radius r around x is the prefix of
-    ``orders[x]`` whose codes are below ``bound(r)``.
+    ``sorted_codes[x]`` their codes (int32 when n allows), so the ball of
+    radius r around x is the prefix of ``orders[x]`` whose codes are below
+    the code bound of r, the number of ``keys`` at most r.  ``halves[k]``
+    is the code bound of half the k-th key.  `MetricTable.ball_scanner`
+    keeps one per table.
     """
 
     def __init__(self, table: MetricTable):
-        self.values, codes = table.value_codes()
+        self.keys, codes = table.kernel_codes()
+        self.den = table.den
         codes = codes.astype(np.int32 if table.n**2 < 2**31 else np.int64)
         self.orders = np.argsort(codes, axis=1, kind="stable").astype(codes.dtype)
         self.sorted_codes = np.take_along_axis(codes, self.orders, axis=1)
+        self.halves = np.searchsorted(2 * self.keys, self.keys, side="right")
         self._cache: dict = {}
 
-    def bound(self, r) -> int:
-        """The code bound of radius r: the number of distinct values <= r."""
-        return bisect_right(self.values, r)
-
-    def count_within(self, x: int, r) -> int:
-        return int(self.sorted_codes[x].searchsorted(self.bound(r)))
-
-    def ball(self, x: int, r) -> frozenset:
-        return self.ball_below(x, self.bound(r))
+    def bounds(self, radii: list) -> np.ndarray:
+        """Code bounds of the radii (row 0) and their halves (row 1), on the
+        kernel: r is at least a key k when 2r >= 2k, and r / 2 when 2r >= 4k.
+        2r is a doubled float, or floor(2r * den), exact on `critical_radii`
+        and compared with the even 2k and 4k as 2r is."""
+        if self.den is None:
+            doubled = 2 * np.array(radii, dtype=np.float64)
+        else:
+            twice = 2 * self.den
+            doubled = np.array([r.numerator * twice // r.denominator for r in radii], dtype=self.keys.dtype)
+        return np.stack([np.searchsorted(k * self.keys, doubled, side="right") for k in (2, 4)])
 
     def ball_below(self, x: int, bound: int) -> frozenset:
         """The points whose code from x is below `bound`, cached."""
@@ -674,7 +695,7 @@ def balls_equal_cells(tree: CellTree, m: MetricTable) -> BallCellVerdict:
     """Check both directions of the ball-cell correspondence of a metric.
 
     (a) for every cell C and every x in C, the closed ball around x with
-        radius diam C (`Geometry.from_table`) equals C;
+        radius diam C (`_diameter_keys`) equals C;
     (b) for every center and every critical radius, the closed ball is a
         cell.  Cells are runs of `_leaf_order`, and a ball (a prefix of
         ``orders[x]``) is a cell when the span from the least to the
@@ -683,7 +704,8 @@ def balls_equal_cells(tree: CellTree, m: MetricTable) -> BallCellVerdict:
     A table with an `ultrametric_tree` passes exactly when that tree is
     `tree`: its balls are its clusters, and both trees are canonical, so
     the comparison is one of families.  Any other table, and a tree
-    mismatch, runs the scans below.
+    mismatch, runs both scans on the code bounds of the table's
+    `ball_scanner`.
 
     Witnesses: the first failing cell, then its first failing point (a);
     the first failing center, then its first failing radius (b).
@@ -691,19 +713,19 @@ def balls_equal_cells(tree: CellTree, m: MetricTable) -> BallCellVerdict:
     found = m.ultrametric_tree
     if found is not None and found[0] == tree:
         return BallCellVerdict(True, (), ())
-    g = Geometry.from_table(tree, m)
-    scanner = BallScanner(m)
+    diams = np.array(_diameter_keys(tree, m), dtype=m.kernel.dtype)
+    scanner = m.ball_scanner
     order, runs = _leaf_order(tree)
     cell_failures = []
-    for c in tree.cells():
+    for c, bound in enumerate(np.searchsorted(scanner.keys, diams, side="right").tolist()):
         pts = np.sort(order[runs[c]])
-        ok = (scanner.sorted_codes[pts] < scanner.bound(g.diam(c))).sum(axis=1) == len(pts)
+        ok = (scanner.sorted_codes[pts] < bound).sum(axis=1) == len(pts)
         if not ok.all():
             cell_failures.append((c, tree.points[pts[ok.argmin()]]))
             break
     ball_failures = []
     radii = critical_radii(m)
-    bounds = np.array([scanner.bound(r) for r in radii], dtype=np.intp)
+    bounds = scanner.bounds(radii)[0]
     pos = np.argsort(order)  # position of each point in leaf order
     is_run = np.zeros((m.n, m.n + 1), dtype=bool)  # [start, stop) of each cell
     is_run[[r.start for r in runs], [r.stop for r in runs]] = True
@@ -715,9 +737,9 @@ def balls_equal_cells(tree: CellTree, m: MetricTable) -> BallCellVerdict:
         hi = np.maximum.accumulate(at)[size - 1] + 1
         ok = (hi - lo == size) & is_run[lo, hi]
         if not ok.all():
-            r = radii[int(ok.argmin())]
-            ball = sorted(tree.points[j] for j in scanner.ball(x, r))
-            ball_failures.append((tree.points[x], r, tuple(ball)))
+            k = int(ok.argmin())
+            ball = sorted(tree.points[j] for j in scanner.ball_below(x, int(bounds[k])))
+            ball_failures.append((tree.points[x], radii[k], tuple(ball)))
             break
     return BallCellVerdict(
         not cell_failures and not ball_failures,

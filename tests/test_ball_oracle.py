@@ -2,11 +2,13 @@
 
 `BallScanner`, `critical_radii`, `balls_equal_cells`,
 `metric_doubling_constant` and `measure_metric_doubling` work on the
-table's value codes and on integer masses, or, on a table with an
-`ultrametric_tree`, on that cluster tree.  The reference functions below
-are the scans they replaced, which sort, hash and bisect the `Fraction`
-rows and sum `Fraction` masses.  The property tests compare radii, ball
-sizes and members, verdicts with their witnesses, doubling values with
+table's cached kernel codes, with radii as doubled kernel keys, and on
+integer masses, or, on a table with an `ultrametric_tree`, on that cluster
+tree.  The reference functions below are the scans they replaced, which
+sort, hash and bisect the `Fraction` rows and sum `Fraction` masses.  The
+property tests compare radii, the balls `BallScanner.ball_below` reads at
+the code bounds of every reference radius and of its half with the
+reference balls, verdicts with their witnesses, doubling values with
 their `exact` flags and witnesses, and measure doubling ratios on random
 laminar ultrametrics (int64 and Python-int kernels, exact or as float
 tables, checked against their own tree or against another tree on the
@@ -21,7 +23,9 @@ or a set cover.
 On line metrics `metric_doubling_constant` covers every ball exactly, by
 the left-to-right rule; it is compared with the reference scan run with
 an exact cover on every ball, on distances between random rational points
-(repeated coordinates included, int64 and Python-int kernels).
+(repeated coordinates included, int64 and Python-int kernels).  No ball
+layer reads `MetricTable.value_codes`, whose keys are Fractions, and the
+kernel codes are computed once per table.
 """
 
 import random
@@ -315,20 +319,32 @@ def line_tables(draw, kind):
     return MetricTable(tuple(f"p{i}" for i in range(n)), rows)
 
 
+PRIME_THETAS = [F(1, p) for p in (1000003, 1000033, 1000037, 1000039, 1000081)]
+
+
 def fat_cantor_geometry(depth: int, thetas=None) -> Geometry:
     tree, emb = fat_cantor(depth, thetas)
     return Geometry.from_intervals(tree, emb)
 
 
+@st.composite
+def fat_cantor_cases(draw, kind):
+    """A fat Cantor tree and its line table at a drawn depth: an int64
+    kernel, a Python-int one from prime gap proportions (from depth 4 on),
+    or the int64 table as floats."""
+    depth = draw(st.integers(1, 5))
+    g = fat_cantor_geometry(depth, PRIME_THETAS[:depth] if kind == "wide" else None)
+    return g.tree, as_floats(g.table) if kind == "float" else g.table
+
+
 def assert_same_balls(table: MetricTable):
     got, want = BallScanner(table), RefBallScanner(table)
-    radii = ref_critical_radii(table)
-    zero = 0.0 if not table.exact else F(0)
-    probes = radii + [r / 2 for r in radii] + [zero]
+    radii = ref_critical_radii(table) + [F(0) if table.exact else 0.0]
+    bounds, halves = got.bounds(radii).tolist()
     for x in range(table.n):
-        for r in probes:
-            assert got.count_within(x, r) == want.count_within(x, r)
-            assert got.ball(x, r) == want.ball(x, r)
+        for r, bound, half in zip(radii, bounds, halves):
+            assert got.ball_below(x, bound) == want.ball(x, r)
+            assert got.ball_below(x, half) == want.ball(x, r / 2)
 
 
 def assert_same_radii(table: MetricTable):
@@ -400,8 +416,7 @@ def test_ultrametrics_reach_no_ball_scan_or_set_cover(kind, data):
     g = Geometry(tree, table, "table", ())
     mu = MeasureAtoms(table.labels, data.draw(masses(table.n)))
     with pytest.MonkeyPatch.context() as mp:
-        for module in (metrics, analysis):
-            mp.setattr(module, "BallScanner", refuse)
+        mp.setattr(metrics, "BallScanner", refuse)
         mp.setattr(analysis, "_exact_min_cover", refuse)
         mp.setattr(analysis, "_greedy_cover", refuse)
         mp.setattr(MetricTable, "value_codes", refuse)
@@ -430,14 +445,13 @@ def test_pseudo_ultrametrics_keep_the_scans(kind, data):
     g = Geometry(tree, table, "table", ())
     mu = MeasureAtoms(table.labels, data.draw(masses(table.n)))
     with pytest.MonkeyPatch.context() as mp:
-        for module in (metrics, analysis):
-            mp.setattr(module, "BallScanner", CountingScanner)
+        mp.setattr(metrics, "BallScanner", CountingScanner)
         assert_same_radii(table)
         assert_same_verdict(tree, table)
         assert_same_doubling(g)
         assert_same_measure_doubling(g, mu)
-    # balls = cells, measure doubling and, unless on a line, metric doubling
-    assert len(scanned) == 2 + (table.line_order is None)
+    # balls = cells, measure doubling and metric doubling share the table's one
+    assert len(scanned) == 1
 
 
 @settings(max_examples=10, deadline=None)
@@ -455,14 +469,40 @@ def test_ball_scans_match_reference_on_fat_cantor(depth, floats):
 @settings(max_examples=8, deadline=None)
 @given(st.integers(1, 5), st.data())
 def test_doubling_matches_reference_on_fat_cantor(depth, data):
-    # prime gap proportions give a Python-int kernel from depth 4 on
-    thetas = [F(1, p) for p in (1000003, 1000033, 1000037, 1000039, 1000081)][:depth]
-    g = fat_cantor_geometry(depth, thetas if data.draw(st.booleans()) else None)
+    # prime gap proportions give a Python-int kernel from depth 4 on; a
+    # float table has no line_order and takes the general scan
+    g = fat_cantor_geometry(depth, PRIME_THETAS[:depth] if data.draw(st.booleans()) else None)
+    if data.draw(st.booleans()):
+        g = Geometry(g.tree, as_floats(g.table), "table", ())
     assert_same_radii(g.table)
     assert_same_doubling(g)
     mu = MeasureAtoms(g.table.labels, data.draw(masses(g.table.n)))
     assert_same_measure_doubling(g, mu)
     assert_same_measure_doubling(g, MeasureAtoms.uniform(g.tree))
+
+
+@pytest.mark.parametrize(
+    "cases, kind", [("fat", k) for k in ("int64", "wide", "float")] + [("pseudo", k) for k in KINDS]
+)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_ball_layers_read_only_the_cached_kernel_codes(cases, kind, data):
+    def refuse_values(*args):
+        raise AssertionError("a ball layer read value_codes")
+
+    tree, table = data.draw(fat_cantor_cases(kind) if cases == "fat" else pseudo_cases(kind))
+    g = Geometry(tree, table, "table", ())
+    mu = MeasureAtoms(table.labels, data.draw(masses(table.n)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MetricTable, "value_codes", refuse_values)
+        assert_same_radii(table)
+        assert_same_verdict(tree, table)
+        assert_same_doubling(g)
+        assert_same_measure_doubling(g, mu)
+    keys, codes = table.kernel_codes()
+    again = table.kernel_codes()
+    assert again[0] is keys and again[1] is codes
+    assert not keys.flags.writeable and not codes.flags.writeable
 
 
 def test_ball_with_a_hole_in_its_span_is_not_a_cell():

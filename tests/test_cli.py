@@ -506,6 +506,20 @@ def test_generate_too_deep_for_the_nested_form(tmp_path, capsys, monkeypatch):
     assert err.startswith("malformed input:") and "family form" in err
 
 
+def test_out_of_memory_exits_2_with_a_message(tmp_path, capsys, monkeypatch):
+    from cellspace import metrics
+
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 128. GiB for an array")
+
+    f = tmp_path / "p.json"
+    _run(capsys, "generate", "product", "--sizes", "2,2", "--out", str(f))
+    monkeypatch.setattr(metrics, "ultrametric_from_weight", exhausted)
+    code, stdout, err = _run(capsys, "analyze", str(f), "--metric", "geo:1/2")
+    assert (code, stdout) == (2, "")
+    assert err == "error: out of memory: Unable to allocate 128. GiB for an array\n"
+
+
 def test_distortion_malformed_generator_is_malformed(tmp_path, capsys):
     f = tmp_path / "p.json"
     _run(capsys, "generate", "product", "--sizes", "2,2", "--out", str(f))
