@@ -73,16 +73,25 @@ def cell_doubling_constant(tree: CellTree) -> int:
 
 def measure_cell_doubling(tree: CellTree, mu: MeasureAtoms) -> Fraction:
     """Smallest k2 with mu(C) <= k2 * mu(C') on every edge, i.e. the largest
-    parent/child mass ratio; 1 for a one-point space."""
+    parent/child mass ratio (`_max_ratio` of the `_cell_masses`); 1 for a
+    one-point space."""
     _check_alignment(tree, mu)
-    best = Fraction(1)
-    for c in tree.internal_cells():
-        pm = mu.mass(tree.members[c])
-        for ch in tree.children[c]:
-            ratio = pm / mu.mass(tree.members[ch])
-            if ratio > best:
-                best = ratio
-    return best
+    mass = _cell_masses(tree, mu)
+    return _max_ratio(mass[list(tree.parent[1:])], mass[1:])
+
+
+def _cell_masses(tree: CellTree, mu: MeasureAtoms) -> np.ndarray:
+    """The mass of each cell as an integer over the atoms' common
+    denominator (int64 when the total fits, else Python ints), summed from
+    the leaves up the tree."""
+    common = lcm(*{v.denominator for v in mu.values})
+    scaled = [v.numerator * (common // v.denominator) for v in mu.values]
+    mass = [0] * tree.n_cells
+    for p, leaf in enumerate(tree.leaf_of):
+        mass[leaf] = scaled[p]
+    for c in range(tree.n_cells - 1, 0, -1):  # preorder: children after their parent
+        mass[tree.parent[c]] += mass[c]
+    return np.array(mass, dtype=_int_dtype(sum(scaled)))
 
 
 def product_measure(spec: ProductSpec, level_weights) -> MeasureAtoms:
@@ -432,38 +441,30 @@ def measure_metric_doubling(g: Geometry, mu: MeasureAtoms):
     """Largest ratio mu(B(x, r)) / mu(B(x, r/2)) over centers and critical
     radii; 1 for a one-point space.
 
-    Masses are integers over the atoms' common denominator (int64 when the
-    total fits, else Python ints), and the ratios are compared by
-    cross-multiplication (`_max_ratio`), which builds one Fraction.  On a
-    table with an `ultrametric_tree` the largest ratio at a center x is
+    Masses are the integers of `_cell_masses`, and the ratios are compared
+    by cross-multiplication (`_max_ratio`), which builds one Fraction.  On
+    a table with an `ultrametric_tree` the largest ratio at a center x is
     that of a cell C above x to the ball of radius h(C) / 2 around x, one
     of C's `_half_balls`, so the pairs are those of the tree and the masses
-    sum up its cells.  On any other table the masses are prefix sums along
-    the `ball_scanner`'s ``orders``, at its code bounds of the
-    `critical_radii` and their halves, and the pairs are the distinct pairs
-    of ball sizes at each center.
+    are its cell masses.  On any other table the masses are prefix sums of
+    the point masses (the leaves of g.tree) along the `ball_scanner`'s
+    ``orders``, at its code bounds of the `critical_radii` and their
+    halves, and the pairs are the distinct pairs of ball sizes at each
+    center.
     """
     table = g.table
     _check_alignment(g.tree, mu)
     if table.n <= 1:
         return Fraction(1)
-    common = lcm(*{v.denominator for v in mu.values})
-    scaled = [v.numerator * (common // v.denominator) for v in mu.values]
-    dtype = _int_dtype(sum(scaled))
     found = table.ultrametric_tree
     if found is not None:
         tree, heights = found
-        cell_mass = [0] * tree.n_cells
-        for p, leaf in enumerate(tree.leaf_of):
-            cell_mass[leaf] = scaled[p]
-        for c in range(tree.n_cells - 1, 0, -1):  # preorder: children after their parent
-            cell_mass[tree.parent[c]] += cell_mass[c]
-        cell_mass = np.array(cell_mass, dtype=dtype)
+        mass = _cell_masses(tree, mu)
         big, half = _half_balls(tree, heights)
-        return _max_ratio(cell_mass[big], cell_mass[half])
+        return _max_ratio(mass[big], mass[half])
     balls = table.ball_scanner
     bounds = balls.bounds(critical_radii(table))
-    masses = np.array(scaled, dtype=dtype)
+    masses = _cell_masses(g.tree, mu)[list(g.tree.leaf_of)]
     pairs = []
     for x in range(table.n):
         prefix = np.concatenate(([0], np.cumsum(masses[balls.orders[x]])))

@@ -153,10 +153,11 @@ class CellTree:
         ``kids[i]`` lists the sets directly below ``sets[i]`` (sorted in
         place, by smallest point); they must partition it, and every
         singleton must be a set with no kids.  Sets not reachable from
-        `root` are left out.  Cells are numbered in depth-first preorder.
+        `root` are left out (and may be None).  Cells are numbered in
+        depth-first preorder.
         """
         points = tuple(points)
-        mins = [min(s) for s in sets]
+        mins = [min(s) if s else None for s in sets]
         order: list[int] = []
         up: list[int | None] = [None] * len(sets)  # the parent of each set
         stack = [root]

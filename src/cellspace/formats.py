@@ -167,13 +167,17 @@ def load_space(text_or_obj, strict: bool = True) -> LoadedSpace:
     if "points" in obj and "cells" in obj:
         try:
             points = [str(p) for p in obj["points"]]
-            cells = [frozenset(int(i) for i in cell) for cell in obj["cells"]]
-        except (TypeError, ValueError) as e:
+            listed = list(obj["cells"])
+        except TypeError as e:
             raise FormatError(f"bad family listing: {e}") from None
-        for cell in cells:
+        cells = []
+        for cell in listed:
+            if not (isinstance(cell, list) and all(type(i) is int for i in cell)):
+                raise FormatError(f"cell {cell!r} is not a list of point indices")
+            cells.append(frozenset(cell))
             if cell and (min(cell) < 0 or max(cell) >= len(points)):
                 raise FormatError(
-                    f"cell {sorted(cell)} has a point index outside 0..{len(points) - 1}"
+                    f"cell {sorted(cells[-1])} has a point index outside 0..{len(points) - 1}"
                 )
         tree = validate_family(points, cells, strict=strict)
         return LoadedSpace(tree, None, None, None, generator)

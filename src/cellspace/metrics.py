@@ -148,27 +148,23 @@ class MetricTable:
         return np.argsort(pos, kind="stable")
 
     @cached_property
-    def _linkage(self) -> tuple[np.ndarray, np.ndarray] | None:
+    def _linkage(self) -> tuple[CellTree, np.ndarray] | None:
         return _single_linkage(self)
 
     @cached_property
     def ultrametric_tree(self) -> tuple[CellTree, np.ndarray] | None:
         """The table's closed balls as a canonical CellTree, and the kernel
-        height (diameter) of each cell; computed once per table.
+        height (diameter) of each cell: the certified `_linkage`, computed
+        once per table.
 
-        The cells are the clusters of the single-linkage merges, with merges
-        at equal heights collapsed into one cell, so every internal cell is
-        strictly lower than its parent.  None when the single-linkage
-        certificate declines the table, and on a pseudo-ultrametric (some
-        entry off the diagonal is 0), whose balls are not the clusters.
+        None when the single-linkage certificate declines the table, and on
+        a pseudo-ultrametric (some internal cell has height 0), whose balls
+        are not the clusters.
         """
-        merges = self._linkage
-        if merges is None or self.n == 0:
+        found = self._linkage
+        if found is None or (found[1][found[0].internal_cells()] == 0).any():
             return None
-        heights, pairs = merges
-        if len(heights) and heights[0] == 0:  # the lowest merge
-            return None
-        return _cluster_tree(self.labels, heights, pairs)
+        return found
 
     def scale(self, c) -> "MetricTable":
         """The table times c: the kernel times c's numerator over den times
@@ -314,21 +310,18 @@ def ultrametric_from_weight(tree: CellTree, w: WeightFn) -> MetricTable:
     """d(x, y) = weight of the minimal cell containing x and y; 0 on the
     diagonal.  Satisfies the strong triangle inequality by construction.
 
-    The minimal cells are filled in block by block, one block per pair of
-    sibling cells; the kernel is read off that one cell matrix over the
-    weights' common denominator, with no n x n Python objects.
+    The minimal cells are filled in strip by strip (`_strips`, n - 1 of
+    them); the kernel is read off that one cell matrix over the weights'
+    common denominator, with no n x n Python objects.
     """
     if w.tree is not tree and w.tree != tree:
         raise ValueError("weight function belongs to a different tree")
     n = tree.n_points
     order, runs = _leaf_order(tree)
     cell = np.empty((n, n), dtype=np.intp)  # minimal common cell, in leaf order
-    for c in tree.internal_cells():
-        kids = [runs[k] for k in tree.children[c]]
-        for a, ra in enumerate(kids):
-            for rb in kids[a + 1 :]:
-                cell[ra, rb] = c
-                cell[rb, ra] = c
+    for c, run, after in _strips(tree, runs):
+        cell[run, after] = c
+        cell[after, run] = c
     cell[np.arange(n), np.arange(n)] = np.array(tree.leaf_of)[order]
     at = np.argsort(order)  # position of each point in leaf order
     cell = cell[np.ix_(at, at)]
@@ -359,32 +352,43 @@ def _leaf_order(tree: CellTree) -> tuple[np.ndarray, list[slice]]:
     return np.array(order, dtype=np.intp), runs
 
 
-def _single_linkage(table: MetricTable) -> tuple[np.ndarray, np.ndarray] | None:
-    """The single-linkage merges of a table that equals its single-linkage
-    ultrametric, else None.
+def _strips(tree: CellTree, runs: list[slice]):
+    """For each internal cell c and each child of c but the last, the
+    strip (c, the child's run, the rest of c's run after it).
+
+    In leaf order (`_leaf_order`'s runs) the n - 1 strips tile the entries
+    above the diagonal, each entry in the strip of its minimal common cell:
+    the kernel of d(x, y) = w(minimal common cell) is w(c) on c's strips.
+    """
+    for c in tree.internal_cells():
+        stop = runs[c].stop
+        for k in tree.children[c][:-1]:
+            yield c, runs[k], slice(runs[k].stop, stop)
+
+
+def _single_linkage(table: MetricTable) -> tuple[CellTree, np.ndarray] | None:
+    """The single-linkage cluster tree of a table that equals its
+    single-linkage ultrametric, with each cell's height, else None.
 
     A symmetric table with a zero diagonal and no negative entry is an
     ultrametric exactly when it equals its subdominant (single-linkage)
-    ultrametric (Gower & Ross, Appl. Stat. 1969).  Prim's algorithm gives a
-    minimum spanning tree of the kernel in O(n^2); its edges are merged in
-    increasing order, and the kernel block between the two clusters of
-    each merge must equal the edge's value.  Every pair lies in exactly one
-    such block.  Blocks compare with `==`, so a float table that is an
+    ultrametric (Gower & Ross, Appl. Stat. 1969), which is the height of
+    the minimal common cell of the cluster tree.  Prim's algorithm gives a
+    minimum spanning tree of the kernel in O(n^2), `_cluster_tree` merges
+    its edges in increasing order, and every strip (`_strips`) of the
+    kernel, permuted into that tree's leaf order, must equal its cell's
+    height.  Strips compare with `==`, so a float table that is an
     ultrametric only within its tolerance is not certified.  None means
-    "not certified": outside the domain, or some block is not constant.
-
-    The merges come back as their heights (kernel values, nondecreasing)
-    and the pairs of clusters they join: cluster p < n is the point p, and
-    the k-th merge makes cluster n + k.
+    "not certified": outside the domain (an empty table among them), or
+    some strip is not constant.  A pseudo-ultrametric is certified, with
+    internal cells of height 0.
     """
     n = table.n
     mat = table.kernel.reshape(n, n)
-    if not (table.exact or table.tol >= 0):
+    if n == 0 or not (table.exact or table.tol >= 0):
         return None
     if not ((mat == mat.T).all() and (mat.diagonal() == 0).all() and (mat >= 0).all()):
         return None
-    if n < 2:
-        return np.empty(0, dtype=mat.dtype), np.empty((0, 2), dtype=np.intp)
     # Prim: best[k] is the lightest edge from rest[k] into the tree, from near[k]
     rest = np.arange(1, n)
     best = mat[0, 1:].copy()
@@ -400,39 +404,14 @@ def _single_linkage(table: MetricTable) -> tuple[np.ndarray, np.ndarray] | None:
         closer = row < best[:last]
         best[:last][closer] = row[closer]
         near[:last][closer] = v
-    # single linkage: merge the edges in increasing order; owner[p] is the
-    # cluster of point p, named by one of its points, and node[a] its id
     up = np.argsort(weights, kind="stable")
-    weights, ends = weights[up], ends[up]
-    members = [[p] for p in range(n)]
-    owner = list(range(n))
-    node = list(range(n))
-    pairs = []
-    for k, (i, j) in enumerate(ends.tolist()):
-        a, b = owner[i], owner[j]
-        pairs.append((node[a], node[b]))
-        if len(members[a]) < len(members[b]):
-            a, b = b, a
-        for p in members[b]:
-            owner[p] = a
-        members[a] += members[b]
-        node[a] = n + k
-    # in an order that lays out each merge's two clusters as adjacent runs,
-    # the block between them must equal the merge's value
-    size = [1] * n
-    for a, b in pairs:
-        size.append(size[a] + size[b])
-    start = [0] * (2 * n - 1)
-    for k in range(n - 2, -1, -1):
-        a, b = pairs[k]
-        start[a] = start[n + k]
-        start[b] = start[a] + size[a]
-    order = np.argsort(start[:n])
+    tree, heights = _cluster_tree(table.labels, weights[up], ends[up])
+    order, runs = _leaf_order(tree)
     mat = mat[np.ix_(order, order)]
-    for (a, b), w in zip(pairs, weights.tolist()):
-        if not (mat[start[a] : start[b], start[b] : start[b] + size[b]] == w).all():
+    for c, run, after in _strips(tree, runs):
+        if not (mat[run, after] == heights[c]).all():
             return None
-    return weights, np.array(pairs, dtype=np.intp)
+    return tree, heights
 
 
 def _single_linkage_certificate(table: MetricTable) -> bool:
@@ -441,23 +420,39 @@ def _single_linkage_certificate(table: MetricTable) -> bool:
     return table._linkage is not None
 
 
-def _cluster_tree(labels, heights: np.ndarray, pairs: np.ndarray) -> tuple[CellTree, np.ndarray]:
-    """The clusters of positive single-linkage merges as a canonical
-    CellTree, and the height of each cell (0 on leaves).  A merge at the
-    height of one of its clusters joins that cluster's children instead, so
-    every internal cell is strictly lower than its parent."""
+def _cluster_tree(labels, weights: np.ndarray, ends: np.ndarray) -> tuple[CellTree, np.ndarray]:
+    """The single-linkage clusters of the edges `ends` (point pairs, by
+    nondecreasing `weights`) as a canonical CellTree, and the height of
+    each cell (0 on leaves).
+
+    Cluster p < n is the point p, and the k-th merge makes cluster n + k;
+    a union-find maps each cluster to the merge that swallowed it.  A merge
+    at the height of one of its clusters (never a point) joins that
+    cluster's children instead, so every internal cell is strictly lower
+    than its parent.  Point sets are built only for the cells kept under
+    the last merge, one union per kept cell.
+    """
     n = len(labels)
-    sets = [frozenset((p,)) for p in range(n)]
+    top = list(range(2 * n - 1))  # union-find: top[c] == c for a cluster not yet merged
     kids: list[list[int]] = [[] for _ in range(n)]
-    height = [0] * n + heights.tolist()
-    for k, (a, b) in enumerate(pairs.tolist()):
+    height = [0] * n + weights.tolist()
+    for k, (i, j) in enumerate(ends.tolist()):
         below: list[int] = []
-        for c in (a, b):  # a cluster as high as the merge gives its children
-            below += kids[c] if height[c] == height[n + k] else [c]
+        for c in (i, j):
+            while top[c] != c:  # find, halving the path
+                top[c] = top[top[c]]
+                c = top[c]
+            top[c] = n + k
+            below += kids[c] if c >= n and height[c] == height[n + k] else [c]
         kids.append(below)
-        sets.append(sets[a] | sets[b])
-    tree, order = CellTree._from_children(labels, sets, kids, len(sets) - 1)
-    return tree, np.array(height, dtype=heights.dtype)[order]
+    kept = [len(kids) - 1]
+    for c in kept:  # parents before their children
+        kept += kids[c]
+    sets: list = [None] * len(kids)
+    for c in reversed(kept):
+        sets[c] = frozenset().union(*(sets[k] for k in kids[c])) if kids[c] else frozenset((c,))
+    tree, order = CellTree._from_children(labels, sets, kids, len(kids) - 1)
+    return tree, np.array(height, dtype=weights.dtype)[order]
 
 
 @dataclass(frozen=True)
@@ -559,22 +554,19 @@ class Geometry:
         return cls(tree, table, "intervals", diams, tuple(hulls))
 
 
-def _diameter_keys(tree: CellTree, table: MetricTable) -> list:
-    """The kernel value of each cell's diameter: the largest entry between
-    sibling cells, one block of the kernel in leaf order per pair."""
+def _diameter_keys(tree: CellTree, table: MetricTable) -> np.ndarray:
+    """The kernel value of each cell's diameter: the largest entry of the
+    strips (`_strips`) of the cell and of the cells below it, in leaf
+    order.  Strip maxima are `np.fmax`, so NaN entries are skipped."""
     if tuple(table.labels) != tuple(tree.points):
         raise PointSetMismatch("table labels differ from tree points")
     order, runs = _leaf_order(tree)
     mat = table.kernel[np.ix_(order, order)]
-    keys = [mat.dtype.type(0)] * tree.n_cells
-    for c in sorted(tree.cells(), key=lambda c: -tree.depth[c]):
-        kids = tree.children[c]
-        key = max((keys[k] for k in kids), default=keys[c])
-        kid_runs = [runs[k] for k in kids]
-        for a, ra in enumerate(kid_runs):
-            for rb in kid_runs[a + 1 :]:
-                key = max(key, mat[ra, rb].max())  # a block holding NaN never wins
-        keys[c] = key
+    keys = np.zeros(tree.n_cells, dtype=mat.dtype)
+    for c, run, after in _strips(tree, runs):
+        keys[c] = np.fmax.reduce(mat[run, after], axis=None, initial=keys[c])
+    for c in range(tree.n_cells - 1, 0, -1):  # preorder: children after their parent
+        keys[tree.parent[c]] = max(keys[tree.parent[c]], keys[c])
     return keys
 
 
@@ -713,7 +705,7 @@ def balls_equal_cells(tree: CellTree, m: MetricTable) -> BallCellVerdict:
     found = m.ultrametric_tree
     if found is not None and found[0] == tree:
         return BallCellVerdict(True, (), ())
-    diams = np.array(_diameter_keys(tree, m), dtype=m.kernel.dtype)
+    diams = _diameter_keys(tree, m)
     scanner = m.ball_scanner
     order, runs = _leaf_order(tree)
     cell_failures = []

@@ -1,7 +1,8 @@
 """Doubling constants, regularity reports, and weight synthesis.
 
 Covers: cellular and measure doubling against closed-form identities,
-product measures, exact metric doubling against a brute-force cover oracle,
+measure cell doubling against the loop over `Fraction` masses, product
+measures, exact metric doubling against a brute-force cover oracle,
 regularity constants on the canonical spaces, and the synthesized regular
 weight.
 """
@@ -10,6 +11,8 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellspace import (
     Geometry,
@@ -87,6 +90,28 @@ def test_measure_cell_doubling_at_least_child_count():
                     best, best_cell = r, c
         if best_cell is not None:
             assert k2 >= len(t.children[best_cell])
+
+
+def ref_measure_cell_doubling(tree, mu: MeasureAtoms) -> F:
+    """The largest parent/child ratio of `Fraction` masses summed per cell."""
+    best = F(1)
+    for c in tree.internal_cells():
+        pm = mu.mass(tree.members[c])
+        for ch in tree.children[c]:
+            best = max(best, pm / mu.mass(tree.members[ch]))
+    return best
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(data=st.data())
+def test_measure_cell_doubling_matches_fraction_loop(data):
+    # 2**63 + 1 among the denominators makes the integer masses Python ints
+    n = data.draw(st.integers(1, 40))
+    t = random_laminar(data.draw(st.integers(0, 2**32 - 1)), data.draw(st.integers(2, 6)), 8, n)
+    atom = st.builds(F, st.integers(1, 9), st.sampled_from((1, 2, 3, 7, 2**63 + 1)))
+    mu = MeasureAtoms(t.points, tuple(data.draw(st.lists(atom, min_size=n, max_size=n))))
+    got, want = measure_cell_doubling(t, mu), ref_measure_cell_doubling(t, mu)
+    assert got == want and type(got) is F
 
 
 def test_product_measure_examples():

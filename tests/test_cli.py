@@ -6,6 +6,7 @@ import json
 import time
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -239,6 +240,16 @@ def test_validate_family_index_out_of_range_is_malformed(tmp_path, capsys):
         code, stdout, err = _run(capsys, "validate", str(f))
         assert code == 2 and stdout == ""
         assert err.startswith("malformed input:") and "outside 0..1" in err
+
+
+@pytest.mark.parametrize("cell", [[0.9, 1], [True, 0], [1.5], "01"])
+def test_validate_family_cell_not_a_list_of_ints_is_malformed(tmp_path, capsys, cell):
+    f = tmp_path / "cells.json"
+    # read with int(i), each of these cells was a valid index list
+    f.write_text(json.dumps({"points": ["a", "b"], "cells": [cell, [0, 1], [0], [1]]}))
+    code, stdout, err = _run(capsys, "validate", str(f))
+    assert code == 2 and stdout == ""
+    assert err.startswith("malformed input:") and repr(cell) in err
 
 
 def _caterpillar_family(levels: int) -> dict:

@@ -8,7 +8,8 @@ tables of three kinds: small common denominators (int64 scan), wide ones
 whose rescaled integers overflow int64 (Python-int scan), and float tables
 with a tolerance.  Symmetric and asymmetric tables are both drawn.  The
 cell diameters of `Geometry.from_table`, taken on the table kernel, are
-compared the same way with the loop over pairs of sibling cells, and the
+compared the same way with the loop over pairs of sibling cells (on float
+tables with planted NaN entries too, which both skip), and the
 separations of sibling cells with the loop over their point pairs.
 
 `validate_ultrametric` first tries the single-linkage certificate and
@@ -36,6 +37,17 @@ exactly those with an end point e such that d(i, j) = |d(e, i) - d(e, j)|
 (a search over every e), and the order it returns runs along the line;
 it accepts every table of distances between rational points; and a line
 table never reaches `_first_violation`.
+
+Building, certifying and measuring tree-shaped kernels all walk the same
+strips of the cell tree (`metrics._strips`), so they are checked on trees
+with wide cells (random laminar trees with up to 40 children per cell,
+products with a level of 30 to 40 symbols): `ultrametric_from_weight`
+against the loop that writes each cell's weight on its point pairs, the
+diameters against the sibling-pair loop, the cluster tree and its heights
+against the tree and its scaled weights, and the certificate against the
+triple loop on tables bent in one entry.  `_cluster_tree` is also checked
+on a grid line (a star), a caterpillar line (a chain) and merges at height
+0 (which keep their points).
 """
 
 from dataclasses import replace
@@ -55,6 +67,7 @@ from cellspace import (
     metrics,
     product_space,
     random_laminar,
+    validate_family,
     validate_ultrametric,
     weight_from_sequence,
 )
@@ -62,7 +75,9 @@ from cellspace.metrics import (
     MetricVerdict,
     UltrametricVerdict,
     WeightFn,
+    _cluster_tree,
     _exact_matrix,
+    _single_linkage,
     _single_linkage_certificate,
     ultrametric_from_weight,
 )
@@ -456,11 +471,19 @@ def test_from_table_diameters_match_pair_loop(kind, data):
     t = data.draw(tables(kind))
     seed = data.draw(st.integers(0, 2**32 - 1))
     tree = random_laminar(seed, data.draw(st.integers(2, 4)), 8, t.n)
+    nans = data.draw(st.integers(0, 3)) if kind == "float" else 0
+    if nans:  # the loop's > skips a NaN entry, and so must the diameters
+        rows = [list(row) for row in t.rows]
+        for _ in range(nans):
+            rows[data.draw(st.integers(0, t.n - 1))][data.draw(st.integers(0, t.n - 1))] = float("nan")
+        t = replace(t, rows=tuple(map(tuple, rows)))
     g = Geometry.from_table(tree, t)
     got = [g.diam(c) for c in tree.cells()]
     want = ref_from_table_diams(tree, t)
     assert got == want
     assert [type(v) for v in got] == [type(v) for v in want]
+    if nans:  # the loop's minimum depends on the order it meets a NaN in
+        return
     for c in tree.cells():
         kids = tree.children[c]
         for a in range(len(kids)):
@@ -537,3 +560,130 @@ def test_certificate_accepts_laminar_ultrametrics(kind, data):
     got, want = validate_ultrametric(bent), ref_validate_ultrametric(bent)
     assert (got.ok, got.witness, got.slack) == (want.ok, want.witness, want.slack)
     assert type(got.slack) is type(want.slack)
+
+
+def test_from_table_diameters_skip_nan_entries():
+    # across the root: 5 on most pairs, NaN on (00, 10) and 9 on (01, 11)
+    tree = product_space(ProductSpec((2, 2)))
+    rows = [[0.0 if i == j else 1.0 if i // 2 == j // 2 else 5.0 for j in range(4)] for i in range(4)]
+    rows[0][2] = float("nan")
+    rows[1][3] = 9.0
+    t = MetricTable(tree.points, tuple(map(tuple, rows)), exact=False)
+    g = Geometry.from_table(tree, t)
+    assert [g.diam(c) for c in tree.cells()] == ref_from_table_diams(tree, t)
+    assert g.diam(tree.ROOT) == 9.0
+
+
+# -- strips of wide cell trees ----------------------------------------------------
+
+
+def ref_ultrametric_rows(tree, w: WeightFn) -> tuple:
+    """d(x, y) = w(minimal cell holding x and y): every cell writes its
+    weight on its point pairs, cells below overwriting cells above."""
+    rows = [[F(0)] * tree.n_points for _ in range(tree.n_points)]
+    for c in sorted(tree.cells(), key=tree.depth.__getitem__):
+        for i in tree.members[c]:
+            for j in tree.members[c]:
+                rows[i][j] = w[c]
+    return tuple(map(tuple, rows))
+
+
+@st.composite
+def wide_weighted_trees(draw, kind, max_points=120):
+    """Trees with wide cells, and weights that drop by 1 or 2 from a cell to
+    each internal child (times 1/3, or times 1 + 1/D for a wide D): random
+    laminar trees with up to 40 children per cell, or products with a level
+    of 30 to 40 symbols beside at most one level of 2 or 3."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, max_points))
+        tree = random_laminar(draw(st.integers(0, 2**32 - 1)), draw(st.integers(2, 40)), 8, n)
+    else:
+        sizes = [draw(st.integers(30, 40))] + draw(st.lists(st.integers(2, 3), max_size=1))
+        tree = product_space(ProductSpec(tuple(draw(st.permutations(sizes)))))
+    weight = [0] * tree.n_cells
+    for c in sorted(tree.internal_cells(), key=tree.depth.__getitem__):
+        par = tree.parent[c]
+        weight[c] = 20 if par is None else weight[par] - draw(st.integers(1, 2))
+    f = LAMINAR_VALUES[kind]
+    return tree, WeightFn(tree, tuple(f(v) for v in weight))
+
+
+@pytest.mark.parametrize("kind", ("int64", "wide"))
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_strips_build_certify_and_measure_wide_trees(kind, data):
+    tree, w = data.draw(wide_weighted_trees(kind))
+    t = ultrametric_from_weight(tree, w)
+    assert t.kernel.dtype == (object if kind == "wide" else np.int64)
+    assert t.rows == ref_ultrametric_rows(tree, w)
+    g = Geometry.from_table(tree, t)
+    assert [g.diam(c) for c in tree.cells()] == ref_from_table_diams(tree, t) == list(w.values)
+    found_tree, heights = t.ultrametric_tree
+    assert found_tree == tree
+    assert heights.dtype == t.kernel.dtype
+    assert heights.tolist() == [int(v * t.den) for v in w.values]
+    # a line metric on the same points: strips that are not constant
+    pos = np.array(data.draw(st.lists(st.integers(-50, 50), min_size=tree.n_points, max_size=tree.n_points)))
+    line = MetricTable.from_kernel(tree.points, abs(pos[:, None] - pos[None, :]), 1)
+    g = Geometry.from_table(tree, line)
+    assert [g.diam(c) for c in tree.cells()] == ref_from_table_diams(tree, line)
+
+
+@pytest.mark.parametrize("kind", ("int64", "wide"))
+@settings(max_examples=10, deadline=None, database=None)
+@given(data=st.data())
+def test_strip_certificate_on_wide_trees_bent_in_one_entry(kind, data):
+    tree, w = data.draw(wide_weighted_trees(kind, max_points=80))
+    t = MetricTable(tree.points, ultrametric_from_weight(tree, w).rows)
+    i = data.draw(st.integers(0, t.n - 2))
+    j = data.draw(st.integers(i + 1, t.n - 1))
+    f = LAMINAR_VALUES[kind]
+    nudge = {"int64": F(1, 3), "wide": F(1, WIDE_DENOMINATORS[0])}[kind]
+    delta = data.draw(st.sampled_from((f(1), -f(1), nudge, -nudge)))
+    rows = [list(row) for row in t.rows]
+    rows[i][j] = rows[j][i] = rows[i][j] + delta
+    bent = replace(t, rows=tuple(map(tuple, rows)))
+    want = ref_validate_ultrametric(bent)
+    assert _single_linkage_certificate(bent) == want.ok
+    got = validate_ultrametric(bent)
+    assert (got.ok, got.witness, got.slack) == (want.ok, want.witness, want.slack)
+
+
+def _line(xs) -> MetricTable:
+    pos = np.array(xs)
+    return MetricTable.from_kernel(tuple(f"p{i}" for i in range(len(xs))), abs(pos[:, None] - pos[None, :]), 1)
+
+
+def _merges(pairs) -> tuple:
+    """Weights and point pairs of single-linkage edges, as `_cluster_tree` takes them."""
+    return np.array([h for h, _ in pairs], dtype=np.int64), np.array([e for _, e in pairs], dtype=np.intp).reshape(-1, 2)
+
+
+def test_cluster_tree_of_a_grid_line_is_a_star():
+    n = 50
+    labels = tuple(f"p{i}" for i in range(n))
+    tree, heights = _cluster_tree(labels, *_merges([(1, (k, k + 1)) for k in range(n - 1)]))
+    assert tree == validate_family(labels, [set(range(n))] + [{i} for i in range(n)])
+    assert heights.tolist() == [1] + [0] * n
+    assert _single_linkage(_line(range(n))) is None  # d(p0, p2) = 2 on the root's strip
+
+
+def test_cluster_tree_of_a_caterpillar_line_is_a_chain():
+    n = 30
+    xs = [2**k - 1 for k in range(n)]  # gaps 1, 2, 4, ...: each point joins all before it
+    labels = tuple(f"p{i}" for i in range(n))
+    tree, heights = _cluster_tree(labels, *_merges([(xs[k + 1] - xs[k], (k, k + 1)) for k in range(n - 1)]))
+    assert tree == validate_family(labels, [set(range(k + 1)) for k in range(1, n)] + [{i} for i in range(n)])
+    assert sorted(heights[tree.internal_cells()].tolist()) == [2**k for k in range(n - 1)]
+    assert _single_linkage(_line(xs)) is None  # d(p0, p2) = 3 on the strip of height 2
+    # the caterpillar's own ultrametric passes, with the same tree
+    w = WeightFn(tree, tuple(F(int(h)) for h in heights))
+    assert _single_linkage(ultrametric_from_weight(tree, w))[0] == tree
+
+
+def test_cluster_tree_keeps_points_merged_at_height_0():
+    # a pseudo-ultrametric: three points at distance 0, a fourth at 1
+    labels = ("a", "b", "c", "d")
+    tree, heights = _cluster_tree(labels, *_merges([(0, (0, 1)), (0, (1, 2)), (1, (2, 3))]))
+    assert tree == validate_family(labels, [{0, 1, 2, 3}, {0, 1, 2}, {0}, {1}, {2}, {3}])
+    assert heights.tolist() == [1, 0, 0, 0, 0, 0]
