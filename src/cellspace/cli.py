@@ -305,6 +305,7 @@ def cmd_distortion(args) -> int:
     if not args.tol >= 0:
         raise CellSpaceError(f"--tol must be nonnegative, got {args.tol}")
     grid = parse_grid(args.grid)
+    quasisym.check_grid(grid)
     # every depth is regenerated (and size-checked) before any output is written
     spaces_by_depth = {depth: _regenerate(loaded.generator, depth) for depth in sorted(depths)}
     outdir = Path(args.out)

@@ -527,9 +527,8 @@ class Geometry:
                 )
             return gap
         a, b = sorted(self.tree.members[c1]), sorted(self.tree.members[c2])
-        block = self.table.kernel[np.ix_(a, b)]
-        i, j = divmod(int(block.argmin()), len(b))
-        return self.table.d(a[i], b[j])
+        # fmin skips NaN entries, as the diameters do
+        return self.table._value(np.fmin.reduce(self.table.kernel[np.ix_(a, b)], axis=None))
 
     @classmethod
     def from_table(cls, tree: CellTree, table: MetricTable) -> "Geometry":

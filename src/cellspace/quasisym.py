@@ -106,15 +106,16 @@ def distortion_profile(
 ) -> DistortionProfile:
     """Exact profile up to `cap` points; stratified sampling beyond.
 
-    Both paths read the tables through their cached exact kernels: each
-    distinct distance gets an integer code (`MetricTable.value_codes`),
-    each ratio is computed once per pair of codes from the original
-    entries, and pairs are counted under their codes.  The exact path
-    groups, for each x, the other points by their pair of codes and counts
-    the triples of a pair of groups at once, so it costs sum over x of
-    k_x^2, where k_x is the number of groups, rather than n^3.  Witnesses
-    are the lexicographically smallest (x, y, z) of each pair, and pairs
-    appear in the order of their witnesses.
+    Both paths emit triples (x, y, z) with counts, and one reduction over
+    those arrays counts them: on each table's value codes
+    (`MetricTable.value_codes`), each distinct pair of codes (d(x, y),
+    d(x, z)) is divided once, equal ratios share a code, and the triples
+    are counted under their pairs of ratio codes.  A pair's witness is its
+    first triple, and pairs appear in the order of their witnesses.  The
+    exact path groups, for each x, the other points by their pair of codes
+    and emits one triple per pair of groups, counted n_y * n_z times, so it
+    costs sum over x of k_x^2, where k_x is the number of groups, rather
+    than n^3; its witnesses are the lexicographically smallest triples.
 
     Sampling stratifies triples by value classes of both metrics (distinct
     values when few, geometric bins otherwise) and keeps extreme and seeded
@@ -123,83 +124,79 @@ def distortion_profile(
     """
     if tuple(d.labels) != tuple(dt.labels):
         raise PointSetMismatch("profiles need identical point sets")
-    n = d.n
-    if n <= cap:
-        return _exact_profile(d, dt)
-    return _sampled_profile(d, dt, seed)
+    sampled = d.n > cap
+    xyz, counts = _sampled_triples(d, dt, seed) if sampled else _exact_triples(d, dt)
+    return _count_triples(d, dt, xyz, counts, sampled)
 
 
-class _Ratios:
-    """Codes of the distinct ratios of one table's values, computed once per
-    pair of value codes."""
+def _ratio_codes(table: MetricTable, a: np.ndarray, b: np.ndarray) -> tuple[list, np.ndarray]:
+    """The distinct ratios v[a] / v[b] of the table's values v over the
+    value-code arrays a and b, and the index of each entry's ratio in them.
 
-    def __init__(self, values: list):
-        self.values = values
-        self._k = len(values)
-        self._by_pair: dict = {}  # a * k + b -> ratio code
-        self._by_value: dict = {}  # ratio -> ratio code
-        self.ratios: list = []  # ratio code -> ratio
-
-    def code(self, a: int, b: int) -> int:
-        key = a * self._k + b
-        got = self._by_pair.get(key)
-        if got is None:
-            r = self.values[a] / self.values[b]
-            got = self._by_value.setdefault(r, len(self.ratios))
-            if got == len(self.ratios):
-                self.ratios.append(r)
-            self._by_pair[key] = got
-        return got
-
-
-class _PairCounts:
-    """(r, s) pairs keyed by ratio codes, with counts and first witnesses."""
-
-    def __init__(self, d: MetricTable, dt: MetricTable):
-        self.labels = tuple(d.labels)
-        d_values, self.d_codes = d.value_codes()
-        t_values, self.t_codes = dt.value_codes()
-        self.r = _Ratios(d_values)
-        self.s = _Ratios(t_values)
-        self.found: dict = {}  # (r code, s code) -> [count, (x, y, z)]
-        self.triples = 0
-
-    def add(self, key: tuple, count: int, x: int, y: int, z: int) -> None:
-        self.triples += count
-        got = self.found.get(key)
-        if got is None:
-            self.found[key] = [count, (x, y, z)]
-        else:
-            got[0] += count
-
-    def profile(self, sampled: bool) -> DistortionProfile:
-        rs, ss, lab = self.r.ratios, self.s.ratios, self.labels
-        pairs = {
-            (rs[a], ss[b]): [count, (lab[x], lab[y], lab[z])]
-            for (a, b), (count, (x, y, z)) in self.found.items()
-        }
-        return DistortionProfile(lab, pairs, sampled, self.triples)
+    Each distinct pair of codes is divided once, in the table's values, so
+    a zero v[b] raises.  Equal ratios are equal floats on float tables, and
+    equal reduced pairs of kernel keys on exact ones.
+    """
+    values, _ = table.value_codes()
+    keys, _ = table.kernel_codes()
+    pairs, inverse = np.unique(a * len(values) + b, return_inverse=True)
+    a, b = np.divmod(pairs, len(values))
+    ratios = [values[i] / values[j] for i, j in zip(a.tolist(), b.tolist())]
+    if table.exact:
+        g = np.gcd(keys[a], keys[b]) * np.sign(keys[b])
+        _, num = np.unique(keys[a] // g, return_inverse=True)
+        dens, den = np.unique(keys[b] // g, return_inverse=True)
+        key = num * len(dens) + den
+    else:
+        key = np.array(ratios)
+    _, first, code = np.unique(key, return_index=True, return_inverse=True, equal_nan=False)
+    return [ratios[i] for i in first.tolist()], code[inverse]
 
 
-def _exact_profile(d: MetricTable, dt: MetricTable) -> DistortionProfile:
-    counts = _PairCounts(d, dt)
-    dc, tc = counts.d_codes, counts.t_codes
-    width = len(counts.s.values)
+def _count_triples(
+    d: MetricTable, dt: MetricTable, xyz: np.ndarray, counts: np.ndarray | None, sampled: bool
+) -> DistortionProfile:
+    """The profile of the triples, the columns (x, y, z) of `xyz`, each
+    counted `counts` times (once when None): a pair's count is the sum over
+    its triples, and its witness the first of them."""
+    x, y, z = xyz
+    n = d.n  # the codes are n x n, even on an empty table
+    dc, tc = d.kernel_codes()[1].reshape(n, n), dt.kernel_codes()[1].reshape(n, n)
+    r_vals, r = _ratio_codes(d, dc[x, y], dc[x, z])
+    s_vals, s = _ratio_codes(dt, tc[x, y], tc[x, z])
+    keys, first, inverse = np.unique(
+        r * len(s_vals) + s, return_index=True, return_inverse=True
+    )
+    # float64 sums are exact: a profile counts at most n^3 < 2^53 triples
+    totals = np.bincount(inverse, counts).astype(np.int64)
+    order = np.argsort(first)
+    r, s = np.divmod(keys[order], len(s_vals))
+    lab = tuple(d.labels)
+    pairs = {
+        (r_vals[a], s_vals[b]): [count, (lab[i], lab[j], lab[k])]
+        for a, b, count, i, j, k in zip(
+            r.tolist(), s.tolist(), totals[order].tolist(), *xyz[:, first[order]].tolist()
+        )
+    }
+    n_triples = len(x) if counts is None else int(counts.sum())
+    return DistortionProfile(lab, pairs, sampled, n_triples)
+
+
+def _exact_triples(d: MetricTable, dt: MetricTable) -> tuple[np.ndarray, np.ndarray]:
+    _, dc = d.kernel_codes()
+    t_keys, tc = dt.kernel_codes()
+    blocks, counts = [np.empty((3, 0), np.int32)], [np.empty(0, np.intp)]
     for x in range(d.n):
-        key = dc[x] * width + tc[x]
+        key = dc[x] * len(t_keys) + tc[x]
         key[x] = -1  # y = x is no triple; its group sorts first
         _, first, size = np.unique(key, return_index=True, return_counts=True)
         order = np.argsort(first[1:]) + 1
-        ys = first[order]
-        groups = list(
-            zip(ys.tolist(), size[order].tolist(), dc[x, ys].tolist(), tc[x, ys].tolist())
-        )
         # groups run in order of their lowest point, so each pair is first
         # met at its lexicographically smallest (y, z)
-        for y, ny, ay, by in groups:
-            for z, nz, az, bz in groups:
-                counts.add((counts.r.code(ay, az), counts.s.code(by, bz)), ny * nz, x, y, z)
-    return counts.profile(False)
+        ys, k = first[order], len(order)
+        blocks.append(np.array([np.full(k * k, x), np.repeat(ys, k), np.tile(ys, k)], np.int32))
+        counts.append(np.outer(size[order], size[order]).ravel())
+    return np.concatenate(blocks, 1), np.concatenate(counts)
 
 
 def _value_bins(floats: list, codes: np.ndarray) -> np.ndarray:
@@ -225,25 +222,17 @@ def _value_bins(floats: list, codes: np.ndarray) -> np.ndarray:
     return np.array(bins, dtype=np.intp)
 
 
-def _sampled_profile(d: MetricTable, dt: MetricTable, seed: int) -> DistortionProfile:
+def _sampled_triples(d: MetricTable, dt: MetricTable, seed: int) -> tuple[np.ndarray, None]:
     n = d.n
     rng = random.Random(seed)
-    counts = _PairCounts(d, dt)
-    dc, tc = counts.d_codes, counts.t_codes
-
-    def add(x, y, z):
-        key = (
-            counts.r.code(int(dc[x, y]), int(dc[x, z])),
-            counts.s.code(int(tc[x, y]), int(tc[x, z])),
-        )
-        counts.add(key, 1, x, y, z)
-
-    add(0, 1, 1)  # (1, 1) is realized whenever there are two points
+    d_values, dc = d.value_codes()
+    t_values, tc = dt.value_codes()
+    triples = [(0, 1, 1)]  # (1, 1) is realized whenever there are two points
     order = list(range(n))
     rng.shuffle(order)
     # float views: one float() per distinct value
-    d_floats = np.array([float(v) for v in counts.r.values])
-    t_floats = np.array([float(v) for v in counts.s.values])
+    d_floats = np.array([float(v) for v in d_values])
+    t_floats = np.array([float(v) for v in t_values])
     passes = ((dc, d_floats, tc, t_floats), (tc, t_floats, dc, d_floats))
     for which, (bin_codes, b_floats, other_codes, o_floats) in enumerate(passes):
         bins = _value_bins(b_floats.tolist(), bin_codes)
@@ -276,12 +265,10 @@ def _sampled_profile(d: MetricTable, dt: MetricTable, seed: int) -> DistortionPr
                 chosen = {b.argmin(), b.argmax(), o.argmin(), o.argmax(), *draws}
                 cands.append(sorted(int(ys[k]) for k in chosen))
             for g1, g2 in zip(*np.nonzero(todo)):
-                for y in cands[g1]:
-                    for z in cands[g2]:
-                        add(x, y, z)
+                triples += [(x, y, z) for y in cands[g1] for z in cands[g2]]
             if which == len(passes) - 1 and (quota[every_stratum] >= _STRATUM_CENTERS).all():
                 break  # every stratum is full: the draws left change nothing
-    return counts.profile(True)
+    return np.array(triples, np.int32).T, None
 
 
 class _Envelope:
@@ -337,6 +324,17 @@ class QsVerdict:
         return self.passed
 
 
+def check_grid(grid) -> list:
+    """The grid sorted without repeats, if `qs_verdict` can read it: every
+    value positive and at least three below 1."""
+    grid = sorted(set(grid))
+    if any(t <= 0 for t in grid):
+        raise ValueError("grid values must be positive")
+    if sum(1 for t in grid if t < 1) < 3:
+        raise GridTooCoarse("grid needs at least three points below 1")
+    return grid
+
+
 def qs_verdict(profiles_by_depth: dict, grid, tol: float = 1e-9) -> QsVerdict:
     """Cross-depth stability plus decay of the envelope at small scales.
 
@@ -360,11 +358,7 @@ def qs_verdict(profiles_by_depth: dict, grid, tol: float = 1e-9) -> QsVerdict:
     """
     if len(profiles_by_depth) < 2:
         raise ValueError("need profiles at two or more depths")
-    grid = sorted(set(grid))
-    if any(t <= 0 for t in grid):
-        raise ValueError("grid values must be positive")
-    if sum(1 for t in grid if t < 1) < 3:
-        raise GridTooCoarse("grid needs at least three points below 1")
+    grid = check_grid(grid)
     depth_a, depth_b = sorted(profiles_by_depth)[-2:]
     env_a = profiles_by_depth[depth_a].envelope
     env_b = profiles_by_depth[depth_b].envelope

@@ -475,6 +475,24 @@ def test_zero_denominator_rationals_are_malformed(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_distortion_rejects_a_bad_grid_before_any_work(tmp_path, capsys):
+    f = tmp_path / "p.json"
+    _run(capsys, "generate", "product", "--sizes", "2,2", "--out", str(f))
+    outdir = tmp_path / "dist"
+    for grid, message in (
+        ("1,2", "grid needs at least three points below 1"),
+        ("0,1/2,1/4,1/8", "grid values must be positive"),
+    ):
+        code, out, err = _run(
+            capsys,
+            "distortion", str(f), "geo:1/2", "geo:1/3", "--depths", "3,4",
+            "--grid", grid, "--out", str(outdir),
+        )
+        assert code == 2
+        assert out == "" and err == f"error: {message}\n"
+        assert not outdir.exists()
+
+
 def test_distortion_rejects_negative_tol(tmp_path, capsys):
     f = tmp_path / "p.json"
     _run(capsys, "generate", "product", "--sizes", "2,2", "--out", str(f))

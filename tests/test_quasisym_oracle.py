@@ -1,16 +1,18 @@
 """Distortion profiles against the slow reference profiles.
 
-`distortion_profile` counts triples per pair of value-code groups (exact
-path) and samples strata with numpy views of the table kernels (sampled
-path).  The reference functions below are the profiles they replaced: the
-plain `Fraction` triple loop and the list-based stratified sampler, with
-the float view of a table built entry by entry.  The property tests
-compare pairs (values, counts, witnesses and insertion order), the triple
-count and the sampled flag on random laminar ultrametric pairs (with
-int64 kernels and with kernels of Python ints), on fat
-Cantor line metrics against regular weights (dense pairs), and on the
-sampled path forced by a low `cap`, where the value classes are distinct
-values for some tables and geometric bins for others.
+`distortion_profile` emits one triple per pair of value-code groups (exact
+path) or samples strata with numpy views of the table kernels (sampled
+path), and both paths count their triples in one reduction over arrays.
+The reference functions below are the profiles they replaced: the plain
+`Fraction` triple loop and the list-based stratified sampler, with the
+float view of a table built entry by entry.  The property tests compare
+pairs (values, counts, witnesses and insertion order), the triple count
+and the sampled flag on random laminar ultrametric pairs (with int64
+kernels and with kernels of Python ints), on fat Cantor line metrics
+against regular weights (dense pairs; with prime gap proportions near
+10^6 the line kernel holds Python ints), and on the sampled path forced
+by a low `cap`, where the value classes are distinct values for some
+tables and geometric bins for others.
 
 A profile's pairs are sorted once, on float keys with exact re-sorting of
 float ties, and its envelope is built once from that order.  The oracles
@@ -55,6 +57,7 @@ from cellspace.quasisym import (
 )
 
 WIDE = 2**63 + 1
+WIDE_THETAS = [F(1, p) for p in (1000003, 1000033, 1000037, 1000039, 1000081)]
 
 
 def ref_exact_profile(d: MetricTable, dt: MetricTable) -> DistortionProfile:
@@ -239,10 +242,16 @@ def test_exact_profile_matches_triple_loop_on_ultrametrics(pair, floats):
     assert_same_profile(distortion_profile(d, dt), ref_exact_profile(d, dt))
 
 
-@settings(max_examples=12, deadline=None)
-@given(st.integers(2, 5), st.sampled_from([F(1, 2), F(1, 3), F(2, 5)]), st.booleans())
-def test_exact_profile_matches_triple_loop_on_fat_cantor(depth, beta, swap):
-    d, dt = fat_cantor_pair(depth, beta)
+@settings(max_examples=16, deadline=None)
+@given(
+    st.integers(2, 5), st.sampled_from([F(1, 2), F(1, 3), F(2, 5)]), st.booleans(), st.booleans()
+)
+def test_exact_profile_matches_triple_loop_on_fat_cantor(depth, beta, swap, wide):
+    # prime gap proportions near 10^6 give the line table a Python-int
+    # kernel from depth 4 on
+    d, dt = fat_cantor_pair(depth, beta, WIDE_THETAS[:depth] if wide else None)
+    if wide and depth >= 4:
+        assert d.kernel.dtype == object
     if swap:
         d, dt = dt, d
     assert_same_profile(distortion_profile(d, dt), ref_exact_profile(d, dt))
