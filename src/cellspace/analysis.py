@@ -24,7 +24,7 @@ from .errors import (
     PointSetMismatch,
     ZeroDiameterInternalCell,
 )
-from .metrics import Geometry, MetricTable, WeightFn, _int_dtype, critical_radii
+from .metrics import Geometry, MetricTable, WeightFn, _int_dtype, _search_rows, critical_radii
 from .spaces import ProductSpec
 
 EXACT_COVER_CAP = 20  # balls with more candidate centers fall back to greedy
@@ -286,10 +286,10 @@ def metric_doubling_constant(g: Geometry) -> DoublingResult:
     `ultrametric_tree` (`_tree_doubling`) and on a line metric
     (`MetricTable.line_order`, `_line_doubling`); the two overlap only on
     two points, where they agree.  The line and the general scan read the
-    table's `ball_scanner`.  On other tables minimum covers are
-    exact while the ball has at most EXACT_COVER_CAP candidate centers;
-    larger balls use a greedy bound, and the result is flagged inexact only
-    when a greedy bound exceeds every exact cover.
+    (center, code) `balls` of the table's `ball_scanner`.  On other tables
+    minimum covers are exact while the ball has at most EXACT_COVER_CAP
+    candidate centers; larger balls use a greedy bound, and the result is
+    flagged inexact only when a greedy bound exceeds every exact cover.
     """
     table = g.table
     if table.n <= 1:
@@ -298,31 +298,31 @@ def metric_doubling_constant(g: Geometry) -> DoublingResult:
         return _tree_doubling(table, *table.ultrametric_tree)
     if table.line_order is not None:
         return _line_doubling(table, table.line_order)
-    balls = table.ball_scanner
-    positive = int(np.searchsorted(balls.keys, 0, side="right"))  # the first code of a positive key
-    halves = balls.halves.tolist()  # code bound of half each key
+    scanner = table.ball_scanner
+    positive = int(np.searchsorted(scanner.keys, 0, side="right"))  # the first code of a positive key
+    halves = scanner.halves.tolist()  # code bound of half each key
     best_exact, wit_exact = 1, None
     best_greedy, wit_greedy = 0, None
     solved = set()
-    for x in range(table.n):
-        row = balls.sorted_codes[x]  # sorted, so a code is new where it differs from the last
-        for k in row[(np.diff(row, prepend=-1) != 0) & (row >= positive)].tolist():
-            b, half = balls.ball_below(x, k + 1), halves[k]
-            if (b, half) in solved:
-                continue
-            solved.add((b, half))
-            cand_sets = sorted(
-                {balls.ball_below(y, half) for y in sorted(b)},
-                key=lambda s: (-len(s), min(s)),
-            )
-            if len(b) <= EXACT_COVER_CAP:
-                cnt = _exact_min_cover(b, cand_sets)
-                if cnt > best_exact:
-                    best_exact, wit_exact = cnt, (table.labels[x], table._value(balls.keys[k]))
-            else:
-                cnt = _greedy_cover(b, cand_sets)
-                if cnt > best_greedy:
-                    best_greedy, wit_greedy = cnt, (table.labels[x], table._value(balls.keys[k]))
+    centers, codes, _ = scanner.balls
+    scan = codes >= positive
+    for x, k in zip(centers[scan].tolist(), codes[scan].tolist()):
+        b, half = scanner.ball_below(x, k + 1), halves[k]
+        if (b, half) in solved:
+            continue
+        solved.add((b, half))
+        cand_sets = sorted(
+            {scanner.ball_below(y, half) for y in sorted(b)},
+            key=lambda s: (-len(s), min(s)),
+        )
+        if len(b) <= EXACT_COVER_CAP:
+            cnt = _exact_min_cover(b, cand_sets)
+            if cnt > best_exact:
+                best_exact, wit_exact = cnt, (table.labels[x], table._value(scanner.keys[k]))
+        else:
+            cnt = _greedy_cover(b, cand_sets)
+            if cnt > best_greedy:
+                best_greedy, wit_greedy = cnt, (table.labels[x], table._value(scanner.keys[k]))
     if best_greedy > best_exact:
         return DoublingResult(best_greedy, False, wit_greedy)
     return DoublingResult(best_exact, True, wit_exact)
@@ -391,37 +391,16 @@ def _line_doubling(table: MetricTable, line: np.ndarray) -> DoublingResult:
     for r/2), the same on int64 and Python-int kernels.
     """
     n = table.n
-    balls = table.ball_scanner
-    # the balls in scan order: each center's distinct codes, ascending; the
-    # entries are nonnegative with a zero diagonal, so code 0 is distance 0
-    ranked = balls.sorted_codes
-    new = np.ones(ranked.shape, dtype=bool)
-    new[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-    starts = np.flatnonzero(new)
-    centers = starts // n
-    ends = np.minimum(np.append(starts[1:], n * n), (centers + 1) * n)
-    ks = ranked.ravel()[starts]
-    sizes = ends - centers * n  # the points within code ks of the center
-    keep = ks > 0
-    centers, ks, sizes = centers[keep], ks[keep], sizes[keep]
+    scanner = table.ball_scanner
+    # the balls of radius 0 take one step; they attain no cover past 1
+    centers, ks, sizes = scanner.balls
     # row i holds the codes from the i-th point of the line to the j-th for
-    # j >= i (nondecreasing along the row) and -1 for j < i, shifted by
-    # i * step so that the flat array is sorted and one searchsorted reads
-    # many rows
-    step = len(balls.keys) + 1
+    # j >= i (nondecreasing) and -1 for j < i, so its count below a bound is
+    # the first line position j >= i whose code is at least the bound
     lined = table.kernel_codes()[1][np.ix_(line, line)]
-    flat = np.where(np.tri(n, k=-1, dtype=bool), -1, lined) + step * np.arange(n)[:, None]
-    flat = flat.ravel()
-
-    def reach(i, bound):
-        """The first line position j >= i whose code from the i-th point is
-        at least `bound` (n if none)."""
-        return flat.searchsorted(i * step + bound) - i * n
-
-    pos = np.empty(n, dtype=np.int64)
-    pos[line] = np.arange(n)
-    hi = reach(pos[centers], ks + 1)  # each ball is the run [hi - size, hi)
-    p, half = hi - sizes, balls.halves[ks]
+    reach = _search_rows(np.where(np.tri(n, k=-1, dtype=bool), -1, lined), len(scanner.keys))
+    hi = reach(np.argsort(line)[centers], ks + 1)  # each ball is the run [hi - size, hi)
+    p, half = hi - sizes, scanner.halves[ks]
     counts = np.zeros(len(ks), dtype=np.int64)
     todo = np.arange(len(ks))
     while todo.size:
@@ -434,7 +413,7 @@ def _line_doubling(table: MetricTable, line: np.ndarray) -> DoublingResult:
     if best == 1:
         return DoublingResult(1, True, None)
     at = int(counts.argmax())
-    return DoublingResult(best, True, (table.labels[int(centers[at])], table._value(balls.keys[ks[at]])))
+    return DoublingResult(best, True, (table.labels[int(centers[at])], table._value(scanner.keys[ks[at]])))
 
 
 def measure_metric_doubling(g: Geometry, mu: MeasureAtoms):
@@ -448,9 +427,9 @@ def measure_metric_doubling(g: Geometry, mu: MeasureAtoms):
     of C's `_half_balls`, so the pairs are those of the tree and the masses
     are its cell masses.  On any other table the masses are prefix sums of
     the point masses (the leaves of g.tree) along the `ball_scanner`'s
-    ``orders``, at its code bounds of the `critical_radii` and their
-    halves, and the pairs are the distinct pairs of ball sizes at each
-    center.
+    ``orders``, read at the `critical_radii` where a ball changes
+    (`BallScanner.change_radii`): between two of them B(x, r) is constant
+    and mu(B(x, r/2)) can only grow, so the largest ratio falls on one.
     """
     table = g.table
     _check_alignment(g.tree, mu)
@@ -462,16 +441,12 @@ def measure_metric_doubling(g: Geometry, mu: MeasureAtoms):
         mass = _cell_masses(tree, mu)
         big, half = _half_balls(tree, heights)
         return _max_ratio(mass[big], mass[half])
-    balls = table.ball_scanner
-    bounds = balls.bounds(critical_radii(table))
+    scanner = table.ball_scanner
+    bounds = scanner.bounds(critical_radii(table))
+    x, at = scanner.change_radii(bounds[0])
     masses = _cell_masses(g.tree, mu)[list(g.tree.leaf_of)]
-    pairs = []
-    for x in range(table.n):
-        prefix = np.concatenate(([0], np.cumsum(masses[balls.orders[x]])))
-        sizes = balls.sorted_codes[x].searchsorted(bounds)  # of B(x, r) and B(x, r/2)
-        new = np.diff(sizes, prepend=-1).any(axis=0)  # both sizes ascend with r
-        pairs.append(prefix[sizes[:, new]])
-    num, den = np.concatenate(pairs, axis=1)
+    prefix = np.cumsum(np.insert(masses[scanner.orders], 0, 0, axis=1), axis=1)
+    num, den = prefix[x, scanner.count(x, bounds[:, at])]  # masses of B(x, r) and B(x, r/2)
     return _max_ratio(num, den)
 
 

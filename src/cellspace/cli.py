@@ -300,7 +300,7 @@ def cmd_distortion(args) -> int:
     if loaded.generator is None:
         raise CellSpaceError("file lacks generator metadata; cannot sweep depths")
     depths = _ints(args.depths)
-    if len(depths) < 2:
+    if len(set(depths)) < 2:
         raise CellSpaceError("need at least two --depths")
     if not args.tol >= 0:
         raise CellSpaceError(f"--tol must be nonnegative, got {args.tol}")

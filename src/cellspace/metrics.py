@@ -648,8 +648,10 @@ class BallScanner:
     ``sorted_codes[x]`` their codes (int32 when n allows), so the ball of
     radius r around x is the prefix of ``orders[x]`` whose codes are below
     the code bound of r, the number of ``keys`` at most r.  ``halves[k]``
-    is the code bound of half the k-th key.  `MetricTable.ball_scanner`
-    keeps one per table.
+    is the code bound of half the k-th key.  ``count(x, b)``, the row search
+    (`_search_rows`) on ``sorted_codes``, is the size of the ball of the
+    points whose code from x is below b, and `balls` lists every ball.
+    `MetricTable.ball_scanner` keeps one per table.
     """
 
     def __init__(self, table: MetricTable):
@@ -659,7 +661,31 @@ class BallScanner:
         self.orders = np.argsort(codes, axis=1, kind="stable").astype(codes.dtype)
         self.sorted_codes = np.take_along_axis(codes, self.orders, axis=1)
         self.halves = np.searchsorted(2 * self.keys, self.keys, side="right")
+        self.count = _search_rows(self.sorted_codes, len(self.keys))
         self._cache: dict = {}
+
+    @cached_property
+    def balls(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every (center, code) ball, as arrays (centers, codes, sizes): for
+        each center x, by code, its ball at each distinct code k of its row,
+        of the points whose code from x is at most k."""
+        n, ranked = len(self.orders), self.sorted_codes
+        starts = np.flatnonzero(np.diff(ranked, axis=1, prepend=-1))
+        ends = np.flatnonzero(np.diff(ranked, axis=1, append=len(self.keys))) + 1
+        centers = starts // n
+        return centers, ranked.ravel()[starts], ends - centers * n
+
+    def change_radii(self, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (center, radius index) pairs, by center and then radius, at
+        which a center's ball can change along radii of nondecreasing code
+        bounds `bound`: each center's first radius, and the first radius
+        whose bound passes each code of its row."""
+        centers, codes, _ = self.balls
+        firsts = np.flatnonzero(np.diff(centers, prepend=-1))  # each center's first ball
+        at = np.insert(bound.searchsorted(codes, side="right"), firsts, 0)
+        centers = np.insert(centers, firsts, centers[firsts])
+        keep = at < len(bound)
+        return centers[keep], at[keep]
 
     def bounds(self, radii: list) -> np.ndarray:
         """Code bounds of the radii (row 0) and their halves (row 1), on the
@@ -677,9 +703,18 @@ class BallScanner:
         """The points whose code from x is below `bound`, cached."""
         got = self._cache.get((x, bound))
         if got is None:
-            size = self.sorted_codes[x].searchsorted(bound)
-            got = self._cache[x, bound] = frozenset(self.orders[x, :size].tolist())
+            got = self._cache[x, bound] = frozenset(self.orders[x, : self.count(x, bound)].tolist())
         return got
+
+
+def _search_rows(rows: np.ndarray, top: int):
+    """The row search: count(i, bound) counts the entries of row i of `rows`
+    below bound (in [0, top]), for int64 arrays i.  The rows, each sorted
+    with entries in [-1, top), lie end to end, row i shifted by i * (top + 1)
+    so that the whole is sorted, and one searchsorted answers every query."""
+    n, step = rows.shape[1], top + 1
+    flat = (rows + step * np.arange(len(rows), dtype=np.int64)[:, None]).ravel()
+    return lambda i, bound: flat.searchsorted(i * step + bound) - i * n
 
 
 def balls_equal_cells(tree: CellTree, m: MetricTable) -> BallCellVerdict:
@@ -688,7 +723,9 @@ def balls_equal_cells(tree: CellTree, m: MetricTable) -> BallCellVerdict:
     (a) for every cell C and every x in C, the closed ball around x with
         radius diam C (`_diameter_keys`) equals C;
     (b) for every center and every critical radius, the closed ball is a
-        cell.  Cells are runs of `_leaf_order`, and a ball (a prefix of
+        cell.  A center's ball changes only at its `change_radii`, so (b)
+        reads each ball there, at its size from the row search `count`.
+        Cells are runs of `_leaf_order`, and a ball (a prefix of
         ``orders[x]``) is a cell when the span from the least to the
         greatest leaf position in it is a cell's run of the ball's size.
 
@@ -717,21 +754,19 @@ def balls_equal_cells(tree: CellTree, m: MetricTable) -> BallCellVerdict:
     ball_failures = []
     radii = critical_radii(m)
     bounds = scanner.bounds(radii)[0]
-    pos = np.argsort(order)  # position of each point in leaf order
+    x, at = scanner.change_radii(bounds)
+    size = scanner.count(x, bounds[at])
+    pos = np.argsort(order)[scanner.orders]  # leaf positions, in each center's order
     is_run = np.zeros((m.n, m.n + 1), dtype=bool)  # [start, stop) of each cell
     is_run[[r.start for r in runs], [r.stop for r in runs]] = True
-    for x in range(m.n):
-        at = pos[scanner.orders[x]]
-        size = scanner.sorted_codes[x].searchsorted(bounds)
-        # a ball of size 0 reads the prefix of size n and fails the size test
-        lo = np.minimum.accumulate(at)[size - 1]
-        hi = np.maximum.accumulate(at)[size - 1] + 1
-        ok = (hi - lo == size) & is_run[lo, hi]
-        if not ok.all():
-            k = int(ok.argmin())
-            ball = sorted(tree.points[j] for j in scanner.ball_below(x, int(bounds[k])))
-            ball_failures.append((tree.points[x], radii[k], tuple(ball)))
-            break
+    # a ball of size 0 reads the prefix of size n and fails the size test
+    lo = np.minimum.accumulate(pos, axis=1)[x, size - 1]
+    hi = np.maximum.accumulate(pos, axis=1)[x, size - 1] + 1
+    ok = (hi - lo == size) & is_run[lo, hi]
+    if not ok.all():
+        k = int(ok.argmin())
+        ball = sorted(tree.points[j] for j in scanner.ball_below(int(x[k]), int(bounds[at[k]])))
+        ball_failures.append((tree.points[x[k]], radii[at[k]], tuple(ball)))
     return BallCellVerdict(
         not cell_failures and not ball_failures,
         tuple(cell_failures),

@@ -239,13 +239,14 @@ def _sampled_triples(d: MetricTable, dt: MetricTable, seed: int) -> tuple[np.nda
         quota = np.zeros((int(bins.max()) + 1,) * 2, dtype=np.intp)
         classes = np.unique(bins[bins >= 0])
         every_stratum = (classes[:, None], classes)
+        last = np.iinfo(np.intp).max
         for x in order:
             row_bins = bins[bin_codes[x]]
-            row_bins[x] = np.iinfo(np.intp).max  # sorts last, then dropped
+            row_bins[x] = last  # sorts last, then dropped
             perm = np.argsort(row_bins, kind="stable")[:-1]  # by class, then y
             sorted_bins = row_bins[perm]
-            starts = np.flatnonzero(np.r_[True, sorted_bins[1:] != sorted_bins[:-1]])
-            sizes = np.diff(np.r_[starts, n - 1]).tolist()
+            starts = np.flatnonzero(np.concatenate(([True], sorted_bins[1:] != sorted_bins[:-1])))
+            sizes = (np.append(starts[1:], n - 1) - starts).tolist()
             # one seeded draw per class, classes in order of their lowest y
             seeded = [None] * len(starts)
             for g in np.argsort(perm[starts]).tolist():

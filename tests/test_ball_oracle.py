@@ -4,18 +4,26 @@
 `metric_doubling_constant` and `measure_metric_doubling` work on the
 table's cached kernel codes, with radii as doubled kernel keys, and on
 integer masses, or, on a table with an `ultrametric_tree`, on that cluster
-tree.  The reference functions below are the scans they replaced, which
-sort, hash and bisect the `Fraction` rows and sum `Fraction` masses.  The
-property tests compare radii, the balls `BallScanner.ball_below` reads at
-the code bounds of every reference radius and of its half with the
-reference balls, verdicts with their witnesses, doubling values with
-their `exact` flags and witnesses, and measure doubling ratios on random
+tree.  Every table scan reads the scanner's one enumeration of
+(center, code) balls, `BallScanner.balls`, and its row search
+`BallScanner.count`; balls = cells and measure doubling read each center
+only at its `BallScanner.change_radii`.  The reference functions below are
+the scans they replaced, which sort, hash and bisect the `Fraction` rows,
+sum `Fraction` masses and visit every center at every critical radius.
+The property tests compare radii, the balls `BallScanner.ball_below`
+reads and the sizes the row search counts at the code bounds of every
+reference radius and of its half, and the enumerated balls, with the
+reference's; verdicts with their witnesses, doubling values with their
+`exact` flags and witnesses, and measure doubling ratios on random
 laminar ultrametrics (int64 and Python-int kernels, exact or as float
 tables, checked against their own tree or against another tree on the
 same points, so that balls = cells fails too), on pseudo-ultrametrics
 (a point repeated, so no cluster tree), on fat Cantor line metrics
-(where balls = cells fails), on a ball whose leaf span is a cell but
-which misses part of it, and under random point masses.  The tree paths
+(where balls = cells fails), on L1 distances between random rational
+points of the plane (repeated points included, exact or as float
+tables), on a ball whose leaf span is a cell but which misses part of it,
+and under random point masses.  The plane tables are in general neither
+lines nor ultrametrics, so they reach the general scans.  The tree paths
 cover every ball exactly, so they are compared with the reference run
 with an exact cover on every ball, and no ultrametric may reach a scan
 or a set cover.
@@ -27,11 +35,11 @@ an exact cover on every ball, on distances between random rational points
 layer reads `MetricTable.value_codes`, whose keys are Fractions, and the
 kernel codes are computed once per table.
 """
-
 import random
 from bisect import bisect_right
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -302,21 +310,37 @@ def masses(draw, n: int):
 
 
 @st.composite
-def line_tables(draw, kind):
-    """|p_i - p_j| on up to 30 random rational points in random order, with
-    repeated coordinates on about a fifth of the points.  Small
-    denominators give int64 kernels; mixed wide ones (with 1) give kernels
-    of Python ints on all but a few draws."""
-    n = draw(st.integers(1, 30))
+def l1_tables(draw, kind, dim, most):
+    """The L1 distances between up to `most` random rational points of
+    dimension `dim`, in random order, with a repeated point on about a
+    fifth of the draws.  Small denominators give int64 kernels; mixed wide
+    ones (with 1) give kernels of Python ints on all but a few draws."""
+    n = draw(st.integers(1, most))
     dens = (1, WIDE, 3**41, 2**64 - 59) if kind == "wide" else (1, 2, 3, 7)
     pts: list = []
     for _ in range(n):
         if pts and draw(st.integers(0, 4)) == 0:
             pts.append(draw(st.sampled_from(pts)))
         else:
-            pts.append(F(draw(st.integers(-20, 20)), draw(st.sampled_from(dens))))
-    rows = tuple(tuple(abs(p - q) for q in pts) for p in pts)
+            pts.append(tuple(F(draw(st.integers(-20, 20)), draw(st.sampled_from(dens))) for _ in range(dim)))
+    rows = tuple(tuple(sum(abs(a - b) for a, b in zip(p, q)) for q in pts) for p in pts)
     return MetricTable(tuple(f"p{i}" for i in range(n)), rows)
+
+
+def line_tables(kind):
+    """|p_i - p_j| on up to 30 random rational points of the line."""
+    return l1_tables(kind, 1, 30)
+
+
+@st.composite
+def plane_cases(draw, kind):
+    """L1 distances on up to 24 random rational points of the plane (int64
+    or Python-int kernels, or the int64 table as floats), and a random tree
+    on them: in general neither a line nor an ultrametric, so every ball
+    layer takes its general scan."""
+    table = draw(l1_tables("int64" if kind == "float" else kind, 2, 24))
+    tree = random_laminar(draw(st.integers(0, 2**32 - 1)), draw(st.integers(2, 4)), 8, table.n)
+    return tree, as_floats(table) if kind == "float" else table
 
 
 PRIME_THETAS = [F(1, p) for p in (1000003, 1000033, 1000037, 1000039, 1000081)]
@@ -340,11 +364,19 @@ def fat_cantor_cases(draw, kind):
 def assert_same_balls(table: MetricTable):
     got, want = BallScanner(table), RefBallScanner(table)
     radii = ref_critical_radii(table) + [F(0) if table.exact else 0.0]
-    bounds, halves = got.bounds(radii).tolist()
+    codes = got.bounds(radii)
+    bounds, halves = codes.tolist()
     for x in range(table.n):
         for r, bound, half in zip(radii, bounds, halves):
             assert got.ball_below(x, bound) == want.ball(x, r)
             assert got.ball_below(x, half) == want.ball(x, r / 2)
+        # the row search, asked for every radius and half at once
+        sizes = got.count(np.full(len(radii), x, dtype=np.int64), codes).tolist()
+        assert sizes == [[want.count_within(x, r * h) for r in radii] for h in (1, F(1, 2))]
+    listed = [(x, table._value(got.keys[k]), size) for x, k, size in zip(*(a.tolist() for a in got.balls))]
+    assert listed == [
+        (x, r, want.count_within(x, r)) for x in range(table.n) for r in sorted(set(table.rows[x]))
+    ]
 
 
 def assert_same_radii(table: MetricTable):
@@ -481,8 +513,12 @@ def test_doubling_matches_reference_on_fat_cantor(depth, data):
     assert_same_measure_doubling(g, MeasureAtoms.uniform(g.tree))
 
 
+CASES = {"fat": fat_cantor_cases, "pseudo": pseudo_cases, "plane": plane_cases}
+
+
 @pytest.mark.parametrize(
-    "cases, kind", [("fat", k) for k in ("int64", "wide", "float")] + [("pseudo", k) for k in KINDS]
+    "cases, kind",
+    [(c, k) for c in ("fat", "plane") for k in ("int64", "wide", "float")] + [("pseudo", k) for k in KINDS],
 )
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
@@ -490,11 +526,12 @@ def test_ball_layers_read_only_the_cached_kernel_codes(cases, kind, data):
     def refuse_values(*args):
         raise AssertionError("a ball layer read value_codes")
 
-    tree, table = data.draw(fat_cantor_cases(kind) if cases == "fat" else pseudo_cases(kind))
+    tree, table = data.draw(CASES[cases](kind))
     g = Geometry(tree, table, "table", ())
     mu = MeasureAtoms(table.labels, data.draw(masses(table.n)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(MetricTable, "value_codes", refuse_values)
+        assert_same_balls(table)
         assert_same_radii(table)
         assert_same_verdict(tree, table)
         assert_same_doubling(g)

@@ -436,6 +436,20 @@ def test_distortion_rejects_single_depth(tmp_path, capsys):
     assert code == 2
 
 
+def test_distortion_rejects_repeated_depths_before_any_work(tmp_path, capsys):
+    # one distinct depth: no profile is written and no --out directory made
+    f = tmp_path / "p.json"
+    _run(capsys, "generate", "product", "--sizes", "2,2", "--out", str(f))
+    outdir = tmp_path / "dist"
+    code, out, err = _run(
+        capsys,
+        "distortion", str(f), "geo:1/2", "geo:1/3", "--depths", "3,3", "--out", str(outdir),
+    )
+    assert code == 2
+    assert out == "" and err == "error: need at least two --depths\n"
+    assert not outdir.exists()
+
+
 def test_cli_byte_determinism(tmp_path, capsys):
     results = []
     for tag in ("one", "two"):
