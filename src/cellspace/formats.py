@@ -303,13 +303,10 @@ def table_from_csv(text: str, exact: bool = True, tol: float = 0.0) -> MetricTab
 
 def profile_to_csv(profile) -> str:
     """One row (r, s, count) per distinct pair, in increasing exact (r, s)
-    order: the profile's cached order, computed once per profile."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["r", "s", "count"])
-    for (r, s), (count, _) in profile.ordered:
-        w.writerow([frac_str(r), frac_str(s), count])
-    return buf.getvalue()
+    order: the profile's cached order, computed once per profile, with each
+    distinct value formatted once.  No field of these rows needs quoting."""
+    rows = profile.text_rows(frac_str)
+    return "r,s,count\n" + "".join([f"{r},{s},{count}\n" for r, s, count in rows])
 
 
 def envelope_to_csv(points) -> str:

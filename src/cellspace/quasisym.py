@@ -13,12 +13,11 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby
 from numbers import Rational
-from operator import itemgetter
 
 import numpy as np
 
@@ -31,31 +30,159 @@ _STRATUM_CENTERS = 2
 _SEEDED_EXTRAS = 1
 
 
+@dataclass(eq=False)
+class _Values:
+    """Distinct ratios, each built once, when first read: the reduced integer
+    pairs num / den (den > 0) of an exact table, or, with `den` None, the
+    values in the list `num` (a float table's quotients, or a dict profile's
+    keys)."""
+
+    num: list | np.ndarray
+    den: np.ndarray | None = None
+    built: dict = field(default_factory=dict)  # the Fractions read so far, by index
+
+    def __getitem__(self, i):
+        if self.den is None:
+            return self.num[i]
+        if i not in self.built:
+            self.built[i] = Fraction(int(self.num[i]), int(self.den[i]))
+        return self.built[i]
+
+    def texts(self, text) -> list[str]:
+        """`text(v)` of each listed value v; from integer pairs, n/d (n when
+        d = 1), the text of the Fraction, without building it."""
+        if self.den is None:
+            return list(map(text, self.num))
+        pairs = zip(self.num.tolist(), self.den.tolist())
+        return [f"{a}/{b}" if b != 1 else str(a) for a, b in pairs]
+
+    def ranks(self) -> np.ndarray:
+        """Each value's exact rank, equal values sharing one: the values are
+        sorted on correctly rounded float keys (numpy num / den below 2^53,
+        Python int / int beyond), which never misorder two values, and each
+        run of equal keys is re-sorted exactly on values built for it."""
+        if self.den is None:
+            keys = list(map(_float_key, self.num))
+        elif max(abs(self.num).max(initial=0), self.den.max(initial=0)) < 2**53:
+            keys = self.num.astype(float) / self.den.astype(float)
+        else:
+            keys = list(map(_float_key, self.num.tolist(), self.den.tolist()))
+        keys = np.asarray(keys, float)
+        order = np.argsort(keys, kind="stable")
+        _, starts, sizes = np.unique(keys[order], return_index=True, return_counts=True)
+        new = np.zeros(len(keys), bool)  # the value differs from the one before
+        new[starts] = True
+        for i, k in zip(starts[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
+            run = sorted((self[j], j) for j in order[i : i + k].tolist())
+            order[i : i + k] = [j for _, j in run]
+            new[i + 1 : i + k] = [u != v for (u, _), (v, _) in zip(run, run[1:])]
+        ranks = np.empty(len(keys), np.intp)
+        ranks[order] = np.cumsum(new) - 1
+        return ranks
+
+
+def _float_key(a, b: int = 1) -> float:
+    """The correctly rounded float of a / b for ints a and b (int true
+    division rounds correctly), or of a float or Fraction a; +-inf beyond
+    the float range.  v < w implies _float_key(v) <= _float_key(w)."""
+    try:
+        return a / b if isinstance(a, int) else float(a)
+    except OverflowError:
+        return math.inf if a > 0 else -math.inf
+
+
+@dataclass(eq=False)
+class _Pairs(Mapping):
+    """A profile's ratio pairs as columns, in the order of their witnesses:
+    codes `r` and `s` into the distinct values `r_vals` and `s_vals`,
+    `counts`, and the witnesses (x, y, z) as rows `wits` of indices into
+    `names`.  Read as the Mapping (r, s) -> [count, witness], it builds its
+    keys on the first iteration or lookup; `len` reads the arrays."""
+
+    r_vals: _Values
+    s_vals: _Values
+    r: np.ndarray
+    s: np.ndarray
+    counts: np.ndarray
+    wits: np.ndarray
+    names: tuple
+
+    def witness(self, i) -> tuple:
+        return tuple(self.names[k] for k in self.wits[i].tolist())
+
+    def item(self, i) -> tuple:
+        pair = self.r_vals[self.r[i]], self.s_vals[self.s[i]]
+        return pair, [int(self.counts[i]), self.witness(i)]
+
+    def __len__(self):
+        return len(self.counts)
+
+    def __iter__(self):
+        return iter(self._dict)
+
+    def __getitem__(self, pair):
+        return self._dict[pair]
+
+    @cached_property
+    def _dict(self) -> dict:
+        return dict(map(self.item, range(len(self))))
+
+
 @dataclass
 class DistortionProfile:
     """Ratio pairs with multiplicities and one representative triple each.
 
-    A profile is immutable once built.  Its pairs in increasing (r, s) order
-    and its upper envelope are computed exactly on first use and cached, so
-    the CSV writer, `envelope_eval` and `qs_verdict` share one sort and one
-    envelope walk per profile.  A changed profile is a new profile (`swap`).
+    The pairs stay integer columns (`_Pairs`) up to the output; `pairs`
+    reads them as a Mapping (r, s) -> [count, (x, y, z) labels] whose
+    Fraction (or float) keys are built only when read, and a profile built
+    from a dict enters the same columns, one value per pair.  A profile is
+    immutable once built.  Its exact order and upper envelope are computed
+    on first use and cached, so the CSV writer, `envelope_eval` and
+    `qs_verdict` share one sort and one envelope per profile.  A changed
+    profile is a new profile (`swap`).
     """
 
     labels: tuple[str, ...]
-    pairs: dict  # (r, s) -> [count, (x, y, z) labels]
+    pairs: Mapping  # (r, s) -> [count, (x, y, z) labels]
     sampled: bool
     n_triples: int
+
+    def __post_init__(self):
+        if not isinstance(self.pairs, _Pairs):  # a dict: one value and witness row per pair
+            codes, entries = np.arange(len(self.pairs)), self.pairs.values()
+            r_vals, s_vals = (_Values([pair[k] for pair in self.pairs]) for k in (0, 1))
+            counts = np.array([c for c, _ in entries], np.int64)
+            names = tuple(p for _, w in entries for p in w)
+            wits = codes[:, None] * 3 + np.arange(3)  # witness i is names[3i : 3i + 3]
+            self.pairs = _Pairs(r_vals, s_vals, codes, codes, counts, wits, names)
+
+    @cached_property
+    def ranked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The positions of the pairs in increasing exact (r, s) order, and
+        each pair's exact r-rank and s-rank; computed once, read-only."""
+        return _exact_order(self.pairs)
 
     @cached_property
     def ordered(self) -> tuple:
         """The items ((r, s), [count, witness]) of `pairs` in increasing exact
-        (r, s) order; computed once, read-only."""
-        return _exact_order(self.pairs)
+        (r, s) order, built from `ranked`."""
+        return tuple(map(self.pairs.item, self.ranked[0].tolist()))
 
     @cached_property
     def envelope(self) -> "_Envelope":
-        """H(t) = max{s : r <= t} with its witnesses, built once from `ordered`."""
-        return _Envelope(self.ordered)
+        """H(t) = max{s : r <= t} with its witnesses, built once from `ranked`."""
+        return _Envelope(self.pairs, *self.ranked)
+
+    def text_rows(self, text) -> zip:
+        """The rows (r, s, count) in increasing exact (r, s) order, each
+        distinct value as text once (`_Values.texts`)."""
+        p, order = self.pairs, self.ranked[0]
+        r, s = p.r_vals.texts(text), p.s_vals.texts(text)
+        return zip(
+            map(r.__getitem__, p.r[order].tolist()),
+            map(s.__getitem__, p.s[order].tolist()),
+            p.counts[order].tolist(),
+        )
 
     def distinct(self):
         """The distinct (r, s) pairs in increasing exact order (from `ordered`)."""
@@ -65,40 +192,17 @@ class DistortionProfile:
         return self.pairs[(r, s)][1]
 
     def swap(self) -> "DistortionProfile":
-        swapped = {
-            (s, r): [c, (w[0], w[1], w[2])] for (r, s), (c, w) in self.pairs.items()
-        }
+        p = self.pairs
+        swapped = _Pairs(p.s_vals, p.r_vals, p.s, p.r, p.counts, p.wits, p.names)
         return DistortionProfile(self.labels, swapped, self.sampled, self.n_triples)
 
 
-def _float_key(v) -> float:
-    """The correctly rounded float of a ratio.  `int / int` true division
-    rounds correctly, so v < w implies _float_key(v) <= _float_key(w); a
-    ratio beyond the float range maps to +-inf."""
-    if isinstance(v, float):
-        return v
-    try:
-        return v.numerator / v.denominator
-    except OverflowError:
-        return math.inf if v > 0 else -math.inf
-
-
-def _exact_order(pairs: dict) -> tuple:
-    """Items of `pairs` in increasing exact (r, s) order.
-
-    The items are sorted on the float keys (float(r), float(s)), which never
-    put two pairs with different float(r) in the wrong order; each run of
-    equal float(r), where r or s may tie in floats but differ exactly, is then
-    sorted exactly.
-    """
-    items = list(pairs.items())
-    keys = [(_float_key(r), _float_key(s)) for r, s in pairs]
-    order = sorted(range(len(items)), key=keys.__getitem__)
-    out = []
-    for _, run in groupby(order, key=lambda i: keys[i][0]):
-        run = [items[i] for i in run]
-        out += sorted(run, key=itemgetter(0)) if len(run) > 1 else run
-    return tuple(out)
+def _exact_order(pairs: _Pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs' positions in increasing exact (r, s) order, and each
+    pair's exact r-rank and s-rank: one `lexsort` on the ranks of the
+    distinct values."""
+    r, s = pairs.r_vals.ranks()[pairs.r], pairs.s_vals.ranks()[pairs.s]
+    return np.lexsort((s, r)), r, s
 
 
 def distortion_profile(
@@ -107,11 +211,11 @@ def distortion_profile(
     """Exact profile up to `cap` points; stratified sampling beyond.
 
     Both paths emit triples (x, y, z) with counts, and one reduction over
-    those arrays counts them: on each table's value codes
-    (`MetricTable.value_codes`), each distinct pair of codes (d(x, y),
-    d(x, z)) is divided once, equal ratios share a code, and the triples
-    are counted under their pairs of ratio codes.  A pair's witness is its
-    first triple, and pairs appear in the order of their witnesses.  The
+    those arrays counts them: on each table's kernel codes
+    (`MetricTable.kernel_codes`), each distinct pair of codes (d(x, y),
+    d(x, z)) is reduced once (`_ratio_codes`), equal ratios share a code,
+    and the triples are counted under their pairs of ratio codes.  A pair's
+    witness is its first triple, and pairs appear in witness order.  The
     exact path groups, for each x, the other points by their pair of codes
     and emits one triple per pair of groups, counted n_y * n_z times, so it
     costs sum over x of k_x^2, where k_x is the number of groups, rather
@@ -125,32 +229,35 @@ def distortion_profile(
     if tuple(d.labels) != tuple(dt.labels):
         raise PointSetMismatch("profiles need identical point sets")
     sampled = d.n > cap
-    xyz, counts = _sampled_triples(d, dt, seed) if sampled else _exact_triples(d, dt)
+    # below two points there is no triple to sample
+    xyz, counts = _sampled_triples(d, dt, seed) if sampled and d.n > 1 else _exact_triples(d, dt)
     return _count_triples(d, dt, xyz, counts, sampled)
 
 
-def _ratio_codes(table: MetricTable, a: np.ndarray, b: np.ndarray) -> tuple[list, np.ndarray]:
-    """The distinct ratios v[a] / v[b] of the table's values v over the
-    value-code arrays a and b, and the index of each entry's ratio in them.
+def _ratio_codes(table: MetricTable, a: np.ndarray, b: np.ndarray) -> tuple[_Values, np.ndarray]:
+    """The distinct ratios k[a] / k[b] of the table's kernel keys k over the
+    code arrays a and b, and the index of each entry's ratio among them.
 
-    Each distinct pair of codes is divided once, in the table's values, so
-    a zero v[b] raises.  Equal ratios are equal floats on float tables, and
-    equal reduced pairs of kernel keys on exact ones.
+    Each distinct pair of codes is reduced once: on exact tables (where the
+    common denominator cancels) to the integer pair (num, den) with den > 0,
+    on float tables to its float quotient.  A zero k[b] raises.
     """
-    values, _ = table.value_codes()
     keys, _ = table.kernel_codes()
-    pairs, inverse = np.unique(a * len(values) + b, return_inverse=True)
-    a, b = np.divmod(pairs, len(values))
-    ratios = [values[i] / values[j] for i, j in zip(a.tolist(), b.tolist())]
+    pairs, inverse = np.unique(a * len(keys) + b, return_inverse=True)
+    a, b = np.divmod(pairs, len(keys))
+    if (keys[b] == 0).any():
+        raise ZeroDivisionError("distance ratio with a zero distance d(x, z), x != z")
     if table.exact:
         g = np.gcd(keys[a], keys[b]) * np.sign(keys[b])
-        _, num = np.unique(keys[a] // g, return_inverse=True)
-        dens, den = np.unique(keys[b] // g, return_inverse=True)
-        key = num * len(dens) + den
+        num, den = keys[a] // g, keys[b] // g
+        _, num_code = np.unique(num, return_inverse=True)
+        dens, den_code = np.unique(den, return_inverse=True)
+        key = num_code * len(dens) + den_code
     else:
-        key = np.array(ratios)
+        key = keys[a] / keys[b]
     _, first, code = np.unique(key, return_index=True, return_inverse=True, equal_nan=False)
-    return [ratios[i] for i in first.tolist()], code[inverse]
+    ratios = _Values(num[first], den[first]) if table.exact else _Values(key[first].tolist())
+    return ratios, code[inverse]
 
 
 def _count_triples(
@@ -165,19 +272,14 @@ def _count_triples(
     r_vals, r = _ratio_codes(d, dc[x, y], dc[x, z])
     s_vals, s = _ratio_codes(dt, tc[x, y], tc[x, z])
     keys, first, inverse = np.unique(
-        r * len(s_vals) + s, return_index=True, return_inverse=True
+        r * len(s_vals.num) + s, return_index=True, return_inverse=True
     )
     # float64 sums are exact: a profile counts at most n^3 < 2^53 triples
     totals = np.bincount(inverse, counts).astype(np.int64)
     order = np.argsort(first)
-    r, s = np.divmod(keys[order], len(s_vals))
+    r, s = np.divmod(keys[order], len(s_vals.num))
     lab = tuple(d.labels)
-    pairs = {
-        (r_vals[a], s_vals[b]): [count, (lab[i], lab[j], lab[k])]
-        for a, b, count, i, j, k in zip(
-            r.tolist(), s.tolist(), totals[order].tolist(), *xyz[:, first[order]].tolist()
-        )
-    }
+    pairs = _Pairs(r_vals, s_vals, r, s, totals[order], xyz[:, first[order]].T, lab)
     n_triples = len(x) if counts is None else int(counts.sum())
     return DistortionProfile(lab, pairs, sampled, n_triples)
 
@@ -273,34 +375,30 @@ def _sampled_triples(d: MetricTable, dt: MetricTable, seed: int) -> tuple[np.nda
 
 
 class _Envelope:
-    """Step function H(t) = max{s : r <= t} with witnesses at each step, built
-    in one walk over a profile's items in increasing (r, s) order."""
+    """Step function H(t) = max{s : r <= t}: one step per run of equal r in
+    a profile's exact order, at the run's r, holding the running maximum of
+    s at the run's end, witnessed by the first pair that reaches it.  The
+    steps are codes and pair positions; values are built when read."""
 
-    def __init__(self, ordered: tuple):
-        self.r_steps = []
-        self.h_vals = []
-        self.h_wits = []
-        best = None
-        best_w = None
-        for (r, s), (_, w) in ordered:
-            if best is None or s > best:
-                best = s
-                best_w = w
-            if self.r_steps and self.r_steps[-1] == r:
-                self.h_vals[-1] = best
-                self.h_wits[-1] = best_w
-            else:
-                self.r_steps.append(r)
-                self.h_vals.append(best)
-                self.h_wits.append(best_w)
+    def __init__(self, pairs: _Pairs, order: np.ndarray, r: np.ndarray, s: np.ndarray):
+        r, best = r[order], np.maximum.accumulate(s[order])
+        starts = np.flatnonzero(np.diff(r, prepend=-1))  # each run's first position
+        top = np.searchsorted(best, best[np.searchsorted(r, r[starts], side="right") - 1])
+        self.pairs, self.tops = pairs, order[top]
+        self.r_codes = pairs.r[order[starts]].tolist()
+        self.s_codes = pairs.s[self.tops].tolist()
+
+    r_steps = property(lambda self: [self.pairs.r_vals[c] for c in self.r_codes])
+    h_vals = property(lambda self: [self.pairs.s_vals[c] for c in self.s_codes])
+    h_wits = property(lambda self: [self.pairs.witness(i) for i in self.tops])
 
     def at(self, t):
-        k = bisect_right(self.r_steps, t)
-        return None if k == 0 else self.h_vals[k - 1]
+        k = bisect_right(self.r_codes, t, key=self.pairs.r_vals.__getitem__)
+        return None if k == 0 else self.pairs.s_vals[self.s_codes[k - 1]]
 
     def witness_at(self, t):
-        k = bisect_right(self.r_steps, t)
-        return None if k == 0 else self.h_wits[k - 1]
+        k = bisect_right(self.r_codes, t, key=self.pairs.r_vals.__getitem__)
+        return None if k == 0 else self.pairs.witness(self.tops[k - 1])
 
 
 def envelope_eval(profile: DistortionProfile, grid) -> list:

@@ -2,17 +2,20 @@
 
 Covers: exact profile invariants (scale invariance, swap symmetry, the
 power-law between geometric weight metrics), envelope evaluation, verdict
-pass/fail behavior including the fat Cantor gap witness, and determinism of
-the sampled mode.
+pass/fail behavior including the fat Cantor gap witness, determinism of
+the sampled mode, profiles of tables below two points, the error on a zero
+distance between distinct points, and the Fractions the output path builds.
 """
 
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from cellspace import (
     Geometry,
+    MetricTable,
     ProductSpec,
     distortion_profile,
     envelope_eval,
@@ -23,6 +26,7 @@ from cellspace import (
     ultrametric_from_weight,
     weight_from_sequence,
 )
+from cellspace import formats, quasisym
 from cellspace.errors import GridTooCoarse, PointSetMismatch
 from cellspace.quasisym import DistortionProfile
 
@@ -219,3 +223,64 @@ def test_sampled_mode_cap_boundary():
     sampled = distortion_profile(d, dt, cap=7)
     assert not exact.sampled and sampled.sampled
     assert set(sampled.pairs) <= set(exact.pairs)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_sampled_profile_below_two_points_is_the_empty_exact_profile(n):
+    # any cap below n samples, and there is no triple to sample
+    t = MetricTable(tuple("a"[:n]), ((F(0),),)[:n])
+    exact = distortion_profile(t, t)
+    for p in (distortion_profile(t, t, cap=n - 1), distortion_profile(t, t, cap=-1, seed=3)):
+        assert p.sampled and not exact.sampled
+        assert len(p.pairs) == 0 and dict(p.pairs) == dict(exact.pairs) == {}
+        assert p.n_triples == exact.n_triples == 0
+        assert formats.profile_to_csv(p) == "r,s,count\n"
+        assert envelope_eval(p, [F(1, 2), F(1)]) == [(F(1, 2), None), (F(1), None)]
+
+
+def _pseudo(kind: str) -> MetricTable:
+    """Three points, a and b at distance 0."""
+    unit = {"int64": F(1), "wide": F(2**70), "float": 1.0}[kind]
+    rows = ((0 * unit, 0 * unit, unit), (0 * unit, 0 * unit, unit), (unit, unit, 0 * unit))
+    return MetricTable(("a", "b", "c"), rows, exact=kind != "float")
+
+
+@pytest.mark.parametrize("kind", ["int64", "wide", "float"])
+@pytest.mark.parametrize("cap", [512, 1])
+def test_zero_distance_between_distinct_points_raises(kind, cap):
+    pseudo = _pseudo(kind)
+    assert pseudo.kernel.dtype == {"int64": np.int64, "wide": object, "float": np.float64}[kind]
+    line = MetricTable.from_kernel(pseudo.labels, np.array([[0, 1, 3], [1, 0, 2], [3, 2, 0]]), 1)
+    if kind == "float":
+        line = MetricTable(line.labels, tuple(tuple(map(float, r)) for r in line.rows), exact=False)
+    for d, dt in ((pseudo, line), (line, pseudo)):
+        with pytest.raises(ZeroDivisionError):
+            distortion_profile(d, dt, cap=cap)
+
+
+def test_profile_and_output_path_build_fractions_per_grid_point_not_per_pair(monkeypatch):
+    # the profile stays integer columns up to the CSV: the writer formats
+    # each distinct value from its integer pair, and the envelope builds
+    # values only for the grid points it is read at
+    tables = {}
+    for depth in (4, 5):
+        tree, emb = fat_cantor(depth)
+        line = Geometry.from_intervals(tree, emb).table
+        tables[depth] = line, ultrametric_from_weight(tree, synthesize_regular_weight(tree, F(1, 2)))
+    built = []
+    new = F.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counted))
+    grid = [F(2) ** k for k in range(-10, 3)]
+    profiles = {depth: distortion_profile(*pair) for depth, pair in tables.items()}
+    for p in profiles.values():
+        formats.profile_to_csv(p)
+        envelope_eval(p, grid)
+    qs_verdict(profiles, grid)
+    # five envelope reads per grid point, each a bisection over the steps
+    assert len(profiles[5].pairs) > 7000
+    assert len(built) < 5 * len(grid) * (math.log2(len(profiles[5].pairs)) + 2)
