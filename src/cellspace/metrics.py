@@ -40,7 +40,9 @@ class MetricTable:
     `kernel_codes`; Fractions (floats) are built only at the edge: `d`,
     witnesses and slacks, `value_codes` values and `rows`.
     ``MetricTable(labels, rows, ...)`` builds its kernel from the rows on
-    first use; `from_kernel` builds no rows until they are read.
+    first use; `from_kernel` builds no rows until they are read.  A table
+    from `ultrametric_from_weight` is codes first, gathers its kernel only
+    when read, and `_linkage` certifies its tree on its codes, not by Prim.
     """
 
     labels: tuple[str, ...]
@@ -96,7 +98,7 @@ class MetricTable:
         """The read-only kernel, in the order of the labels."""
         return self._kernel_den[0]
 
-    @property
+    @cached_property
     def den(self) -> int | None:
         """The kernel's common denominator; None on float tables."""
         return self._kernel_den[1]
@@ -149,7 +151,14 @@ class MetricTable:
 
     @cached_property
     def _linkage(self) -> tuple[CellTree, np.ndarray] | None:
-        return _single_linkage(self)
+        """A weight-built table's (tree, heights) if `_certified`, else `_single_linkage`."""
+        built = self.__dict__.get("_built")
+        return built if built is not None and _certified(self, *built) else _single_linkage(self)
+
+    def _heights_on(self, tree: CellTree) -> np.ndarray | None:
+        """The cell heights of a weight-built table certified on `tree`, else None."""
+        found = "_built" in self.__dict__ and self._linkage
+        return found[1] if found and found[0] == tree else None
 
     @cached_property
     def ultrametric_tree(self) -> tuple[CellTree, np.ndarray] | None:
@@ -216,12 +225,15 @@ class MetricVerdict:
 
 
 def _exact_matrix(table: MetricTable) -> tuple[np.ndarray, int | None]:
-    """Build the table's kernel and its denominator from its rows.
+    """Build the table's kernel and denominator from its rows (a weight-built table's from its codes).
 
     Exact tables are rescaled over their common denominator: int64 when
     every sum of two entries fits, otherwise an object array of Python
     ints.  Inexact tables are float64, with no denominator.
     """
+    if "_built" in table.__dict__:
+        keys, codes = table.kernel_codes()
+        return keys[codes], table.den
     if not table.exact:
         return np.array(table.rows, dtype=float), None
     den = lcm(*{v.denominator for row in table.rows for v in row})
@@ -310,60 +322,94 @@ def ultrametric_from_weight(tree: CellTree, w: WeightFn) -> MetricTable:
     """d(x, y) = weight of the minimal cell containing x and y; 0 on the
     diagonal.  Satisfies the strong triangle inequality by construction.
 
-    The minimal cells are filled in strip by strip (`_strips`, n - 1 of
-    them); the kernel is read off that one cell matrix over the weights'
-    common denominator, with no n x n Python objects.
+    The cell heights (weights over their common denominator) are ranked by
+    one `np.unique` over the cells, and each cell's code is written on its
+    strips (`_strips`, n - 1 of them): the table is codes first, and keeps
+    `tree` and the heights for `_certified`.
     """
     if w.tree is not tree and w.tree != tree:
         raise ValueError("weight function belongs to a different tree")
     n = tree.n_points
-    order, runs = _leaf_order(tree)
-    cell = np.empty((n, n), dtype=np.intp)  # minimal common cell, in leaf order
-    for c, run, after in _strips(tree, runs):
-        cell[run, after] = c
-        cell[after, run] = c
-    cell[np.arange(n), np.arange(n)] = np.array(tree.leaf_of)[order]
-    at = np.argsort(order)  # position of each point in leaf order
-    cell = cell[np.ix_(at, at)]
-    zero = Fraction(0)
-    values = [zero if tree.is_leaf(c) else w[c] for c in tree.cells()]
+    values = [w[c] if tree.children[c] else Fraction(0) for c in tree.cells()]
     den = lcm(*{v.denominator for v in values})
     scaled = [v.numerator * (den // v.denominator) for v in values]
-    kernel = np.array(scaled, dtype=_int_dtype(max(map(abs, scaled))))[cell]
-    return MetricTable.from_kernel(tree.points, kernel, den)
+    heights = np.array(scaled, dtype=_int_dtype(max(map(abs, scaled))))
+    keys, code_of = np.unique(heights, return_inverse=True)
+    order, runs = _leaf_order(tree)
+    codes = np.zeros((n, n), dtype=np.intp)  # in leaf order; leaves weigh 0, the least key
+    for c, run, after in _strips(tree.children, runs):
+        codes[run, after] = codes[after, run] = code_of[c]
+    if (order != np.arange(n)).any():
+        at = np.argsort(order)  # position of each point in leaf order
+        codes = codes[np.ix_(at, at)]
+    keys.flags.writeable = codes.flags.writeable = heights.flags.writeable = False
+    table = MetricTable.__new__(MetricTable)
+    table.__dict__.update(labels=tree.points, exact=True, tol=0.0, den=den)
+    table.__dict__.update(_kernel_codes=(keys, codes), _built=(tree, heights))
+    return table
+
+
+def _walk(kids, root: int) -> tuple[np.ndarray, list]:
+    """The leaves below `root` in preorder of the child lists `kids`, and
+    the run of each cell below `root` in that order (None for the others)."""
+    leaves, walk, runs, stack = [], [], [None] * len(kids), [root]
+    while stack:
+        c = stack.pop()
+        walk.append(c)
+        runs[c] = len(leaves)
+        stack += reversed(kids[c])
+        if not kids[c]:
+            leaves.append(c)
+    for c in reversed(walk):  # children before their parent
+        runs[c] = slice(runs[c], runs[kids[c][-1]].stop if kids[c] else runs[c] + 1)
+    return np.array(leaves, dtype=np.intp), runs
 
 
 def _leaf_order(tree: CellTree) -> tuple[np.ndarray, list[slice]]:
     """Points in the order of a preorder walk of the tree, and each cell's
     run in that order.  Every cell is one contiguous run, so the block
     between two sibling cells is a basic slice of a matrix permuted into
-    leaf order."""
-    order: list[int] = []
-    runs: list = [None] * tree.n_cells
-    stack = [tree.ROOT]
-    while stack:
-        c = stack.pop()
-        runs[c] = slice(len(order), len(order) + len(tree.members[c]))
-        kids = tree.children[c]
-        if kids:
-            stack.extend(reversed(kids))
-        else:
-            order.extend(tree.members[c])
-    return np.array(order, dtype=np.intp), runs
+    leaf order.  Cell ids are preorder, so the points go by leaf id."""
+    return np.argsort(tree.leaf_of), _walk(tree.children, tree.ROOT)[1]
 
 
-def _strips(tree: CellTree, runs: list[slice]):
-    """For each internal cell c and each child of c but the last, the
+def _strips(kids, runs: list):
+    """For each cell c with a run and each child of c but the last, the
     strip (c, the child's run, the rest of c's run after it).
 
-    In leaf order (`_leaf_order`'s runs) the n - 1 strips tile the entries
-    above the diagonal, each entry in the strip of its minimal common cell:
-    the kernel of d(x, y) = w(minimal common cell) is w(c) on c's strips.
+    In leaf order (`_walk`) the n - 1 strips tile the entries above the
+    diagonal, each entry in the strip of its minimal common cell: the
+    kernel of d(x, y) = w(minimal common cell) is w(c) on c's strips.
     """
-    for c in tree.internal_cells():
-        stop = runs[c].stop
-        for k in tree.children[c][:-1]:
-            yield c, runs[k], slice(runs[k].stop, stop)
+    for c, run in enumerate(runs):
+        if run is not None:
+            for k in kids[c][:-1]:
+                yield c, runs[k], slice(runs[k].stop, run.stop)
+
+
+def _strips_hold(mat: np.ndarray, kids, order, runs: list, value: np.ndarray) -> bool:
+    """True when `mat` in the leaf order `order` holds value[c] on both sides of c's strips."""
+    if (order != np.arange(len(order))).any():
+        mat = mat[np.ix_(order, order)]
+    return all(
+        (mat[run, after] == value[c]).all() and (mat[after, run] == value[c]).all()
+        for c, run, after in _strips(kids, runs)
+    )
+
+
+def _certified(table: MetricTable, tree: CellTree, heights: np.ndarray) -> bool:
+    """True when the heights are keys of `table`, 0 on leaves and strictly
+    increasing upwards, and the codes are the leaf code on the diagonal and
+    each cell's code on its strips: an ultrametric whose balls are the cells."""
+    keys, codes = table.kernel_codes()
+    want = np.searchsorted(keys, heights).clip(max=len(keys) - 1)  # above every key: fails below
+    leaves = list(tree.leaf_of)
+    return (
+        (keys[want] == heights).all() and (heights[leaves] == 0).all()
+        and (heights[1:] < heights[list(tree.parent[1:])]).all()
+        and (codes.diagonal() == want[leaves]).all()
+        and _strips_hold(codes, tree.children, *_leaf_order(tree), want)
+    )
 
 
 def _single_linkage(table: MetricTable) -> tuple[CellTree, np.ndarray] | None:
@@ -374,14 +420,13 @@ def _single_linkage(table: MetricTable) -> tuple[CellTree, np.ndarray] | None:
     ultrametric exactly when it equals its subdominant (single-linkage)
     ultrametric (Gower & Ross, Appl. Stat. 1969), which is the height of
     the minimal common cell of the cluster tree.  Prim's algorithm gives a
-    minimum spanning tree of the kernel in O(n^2), `_cluster_tree` merges
-    its edges in increasing order, and every strip (`_strips`) of the
-    kernel, permuted into that tree's leaf order, must equal its cell's
-    height.  Strips compare with `==`, so a float table that is an
-    ultrametric only within its tolerance is not certified.  None means
-    "not certified": outside the domain (an empty table among them), or
-    some strip is not constant.  A pseudo-ultrametric is certified, with
-    internal cells of height 0.
+    minimum spanning tree of the kernel in O(n^2), and `_cluster_tree`
+    merges its edges and checks the kernel's strips against the heights.
+    Strips compare with `==`, so a float table that is an ultrametric only
+    within its tolerance is not certified.  None means "not certified":
+    outside the domain (an empty table among them), or some strip is not
+    constant.  A pseudo-ultrametric is certified, with internal cells of
+    height 0.
     """
     n = table.n
     mat = table.kernel.reshape(n, n)
@@ -405,22 +450,10 @@ def _single_linkage(table: MetricTable) -> tuple[CellTree, np.ndarray] | None:
         best[:last][closer] = row[closer]
         near[:last][closer] = v
     up = np.argsort(weights, kind="stable")
-    tree, heights = _cluster_tree(table.labels, weights[up], ends[up])
-    order, runs = _leaf_order(tree)
-    mat = mat[np.ix_(order, order)]
-    for c, run, after in _strips(tree, runs):
-        if not (mat[run, after] == heights[c]).all():
-            return None
-    return tree, heights
+    return _cluster_tree(table.labels, weights[up], ends[up], mat)
 
 
-def _single_linkage_certificate(table: MetricTable) -> bool:
-    """True when the table equals its single-linkage ultrametric
-    (`_single_linkage`, run once per table)."""
-    return table._linkage is not None
-
-
-def _cluster_tree(labels, weights: np.ndarray, ends: np.ndarray) -> tuple[CellTree, np.ndarray]:
+def _cluster_tree(labels, weights: np.ndarray, ends: np.ndarray, mat=None) -> tuple | None:
     """The single-linkage clusters of the edges `ends` (point pairs, by
     nondecreasing `weights`) as a canonical CellTree, and the height of
     each cell (0 on leaves).
@@ -429,8 +462,8 @@ def _cluster_tree(labels, weights: np.ndarray, ends: np.ndarray) -> tuple[CellTr
     a union-find maps each cluster to the merge that swallowed it.  A merge
     at the height of one of its clusters (never a point) joins that
     cluster's children instead, so every internal cell is strictly lower
-    than its parent.  Point sets are built only for the cells kept under
-    the last merge, one union per kept cell.
+    than its parent.  Given `mat`, None unless its strips hold the heights
+    (`_strips_hold`, on the child lists), so no point set is built for it.
     """
     n = len(labels)
     top = list(range(2 * n - 1))  # union-find: top[c] == c for a cluster not yet merged
@@ -445,14 +478,13 @@ def _cluster_tree(labels, weights: np.ndarray, ends: np.ndarray) -> tuple[CellTr
             top[c] = n + k
             below += kids[c] if c >= n and height[c] == height[n + k] else [c]
         kids.append(below)
-    kept = [len(kids) - 1]
-    for c in kept:  # parents before their children
-        kept += kids[c]
-    sets: list = [None] * len(kids)
-    for c in reversed(kept):
-        sets[c] = frozenset().union(*(sets[k] for k in kids[c])) if kids[c] else frozenset((c,))
-    tree, order = CellTree._from_children(labels, sets, kids, len(kids) - 1)
-    return tree, np.array(height, dtype=weights.dtype)[order]
+    order, runs = _walk(kids, len(kids) - 1)
+    heights = np.array(height, dtype=weights.dtype)
+    if mat is not None and not _strips_hold(mat, kids, order, runs, heights):
+        return None
+    sets = [None if run is None else frozenset(order[run].tolist()) for run in runs]
+    tree, ids = CellTree._from_children(labels, sets, kids, len(kids) - 1)
+    return tree, heights[ids]
 
 
 @dataclass(frozen=True)
@@ -468,9 +500,9 @@ class UltrametricVerdict:
 def validate_ultrametric(m: MetricTable) -> UltrametricVerdict:
     """Decide d(x, z) <= max(d(x, y), d(y, z)) for every triple.
 
-    A table passes at once when the single-linkage certificate
-    (`_single_linkage_certificate`, O(n^2), run once per table) accepts
-    it.  Its domain is a symmetric kernel with a zero diagonal and no
+    A table passes at once when its certificate (`_linkage`, O(n^2), once
+    per table) accepts it: `_certified` on weight-built tables, else single
+    linkage (Prim) on a symmetric kernel with a zero diagonal and no
     negative entry (and a nonnegative tolerance on float tables).  The
     exhaustive triple scan runs only when the certificate fails or the
     table lies outside that domain: it returns the lexicographically
@@ -479,7 +511,7 @@ def validate_ultrametric(m: MetricTable) -> UltrametricVerdict:
     ints when that would overflow); float tables are scanned with their
     tolerance.
     """
-    if _single_linkage_certificate(m):
+    if m._linkage is not None:
         return UltrametricVerdict(True)
     wit = _first_violation(m, np.maximum)
     if wit is None:
@@ -511,11 +543,14 @@ class Geometry:
     source: str
     _diams: tuple
     _hulls: tuple | None = None
+    _lca: bool = False
 
     def diam(self, c: int):
         return self._diams[c]
 
     def separation(self, c1: int, c2: int):
+        """The least distance between two disjoint cells; on a weight-built table certified
+        on `tree` (`_lca`), the height of their lowest common ancestor, with no kernel read."""
         if self.tree.members[c1] & self.tree.members[c2]:
             raise OverlappingCells(f"cells {c1} and {c2} intersect")
         if self._hulls is not None:
@@ -526,6 +561,10 @@ class Geometry:
                     f"cells {c1} and {c2} are disjoint but their hulls overlap"
                 )
             return gap
+        if self._lca:  # the diameter of the lowest common ancestor
+            while c1 != c2:  # preorder ids: the larger is not an ancestor of the other
+                c1, c2 = (self.tree.parent[c1], c2) if c1 > c2 else (c1, self.tree.parent[c2])
+            return self._diams[c1]
         a, b = sorted(self.tree.members[c1]), sorted(self.tree.members[c2])
         # fmin skips NaN entries, as the diameters do
         return self.table._value(np.fmin.reduce(self.table.kernel[np.ix_(a, b)], axis=None))
@@ -533,22 +572,20 @@ class Geometry:
     @classmethod
     def from_table(cls, tree: CellTree, table: MetricTable) -> "Geometry":
         """Cell diameters as the table's values of `_diameter_keys`."""
-        return cls(tree, table, "table", tuple(map(table._value, _diameter_keys(tree, table))))
+        diams = tuple(map(table._value, _diameter_keys(tree, table)))
+        return cls(tree, table, "table", diams, _lca=table._heights_on(tree) is not None)
 
     @classmethod
     def from_intervals(cls, tree: CellTree, emb: IntervalEmbedding) -> "Geometry":
         """Hull diameters and gaps, and the point metric `interval_table`."""
         table = interval_table(tree, emb)
         hulls = [None] * tree.n_cells
-        for c in sorted(tree.cells(), key=lambda c: -tree.depth[c]):
-            if tree.is_leaf(c):
-                hulls[c] = emb.intervals[next(iter(tree.members[c]))]
+        for c in reversed(tree.cells()):  # preorder: children after their parent
+            kids = tree.children[c]
+            if kids:
+                hulls[c] = (min(hulls[k][0] for k in kids), max(hulls[k][1] for k in kids))
             else:
-                kids = tree.children[c]
-                hulls[c] = (
-                    min(hulls[k][0] for k in kids),
-                    max(hulls[k][1] for k in kids),
-                )
+                hulls[c] = emb.intervals[next(iter(tree.members[c]))]
         diams = tuple(r - l for l, r in hulls)
         return cls(tree, table, "intervals", diams, tuple(hulls))
 
@@ -556,13 +593,16 @@ class Geometry:
 def _diameter_keys(tree: CellTree, table: MetricTable) -> np.ndarray:
     """The kernel value of each cell's diameter: the largest entry of the
     strips (`_strips`) of the cell and of the cells below it, in leaf
-    order.  Strip maxima are `np.fmax`, so NaN entries are skipped."""
+    order (the heights of a weight-built table certified on `tree`).  Strip
+    maxima are `np.fmax`, so NaN entries are skipped."""
     if tuple(table.labels) != tuple(tree.points):
         raise PointSetMismatch("table labels differ from tree points")
+    if (heights := table._heights_on(tree)) is not None:
+        return heights
     order, runs = _leaf_order(tree)
     mat = table.kernel[np.ix_(order, order)]
     keys = np.zeros(tree.n_cells, dtype=mat.dtype)
-    for c, run, after in _strips(tree, runs):
+    for c, run, after in _strips(tree.children, runs):
         keys[c] = np.fmax.reduce(mat[run, after], axis=None, initial=keys[c])
     for c in range(tree.n_cells - 1, 0, -1):  # preorder: children after their parent
         keys[tree.parent[c]] = max(keys[tree.parent[c]], keys[c])
