@@ -118,7 +118,8 @@ class CellTree:
         smallest) set that holds point p; it starts as the full set.  A set
         nests with every earlier set exactly when all its points have the
         same owner, which is then its parent; the set becomes the owner of
-        its points.  Cost O(m log m + sum of cell sizes) for m sets.
+        its points.  Cost O(m log m + sum of cell sizes) for m sets.  Only
+        family-form input and `induced_substructure` reach it.
 
         Raises Overlap at the first set b whose points have several owners,
         with a = the most recently processed of those owners.  That a always
@@ -348,7 +349,18 @@ class CellTree:
         return sig[self.ROOT]
 
     def isomorphic_to(self, other: "CellTree") -> bool:
-        return self.shape_signature() == other.shape_signature()
+        """Equal shapes, by integer shape classes (Aho, Hopcroft & Ullman): a
+        cell's class numbers the sorted tuple of its children's classes in one
+        table shared by both trees, so no nested signature is compared."""
+        classes: dict[tuple[int, ...], int] = {}
+        roots = []
+        for tree in (self, other):
+            cls = [0] * tree.n_cells
+            for c in reversed(tree.cells()):  # preorder ids: children first
+                key = tuple(sorted(cls[k] for k in tree.children[c]))
+                cls[c] = classes.setdefault(key, len(classes))
+            roots.append(cls[tree.ROOT])
+        return roots[0] == roots[1]
 
 
 def validate_family(points, subsets, strict: bool = True) -> CellTree:
@@ -400,19 +412,35 @@ def cells_of(tree: RootedTree) -> CellTree:
     """CellTree whose cells are the leaf-label sets below each vertex.
 
     Unary chains collapse (a vertex and its only child contain the same
-    leaves); every leaf must carry a distinct label.
+    leaves); every leaf must carry a distinct label, else DuplicateLeafLabel
+    names the first bad leaf in preorder.  One preorder walk numbers cells,
+    and points in leaf order, so the ids are already canonical; one reverse
+    pass unions members.  O(vertices + sum of cell sizes): no sort, no owner
+    pass.
     """
-    nodes = tree.preorder()
-    idx: dict[str, int] = {}
-    for node in nodes:
-        if node.is_leaf():
-            if node.label is None or node.label in idx:
+    leaf_at: dict[str, int] = {}  # label -> leaf cell, in point order
+    parent: list[int | None] = []
+    kids: list[list[int]] = []
+    depth: list[int] = []
+    members: list = []
+    stack: list = [(tree, None, [])]  # vertex, parent cell, its child list
+    while stack:
+        node, up, siblings = stack.pop()
+        while len(node.children) == 1:
+            node = node.children[0]
+        c = len(parent)
+        siblings.append(c)
+        parent.append(up)
+        kids.append([])
+        depth.append(0 if up is None else depth[up] + 1)
+        members.append(None if node.children else frozenset((len(leaf_at),)))
+        stack.extend((k, c, kids[c]) for k in reversed(node.children))
+        if not node.children:
+            if node.label is None or node.label in leaf_at:
                 raise DuplicateLeafLabel(node.label)
-            idx[node.label] = len(idx)
-    cell: dict[int, frozenset[int]] = {}  # id(vertex) -> leaf indices below it
-    for node in reversed(nodes):  # children before their parent
-        if node.is_leaf():
-            cell[id(node)] = frozenset({idx[node.label]})
-        else:
-            cell[id(node)] = frozenset().union(*(cell[id(ch)] for ch in node.children))
-    return CellTree._from_member_sets(tuple(idx), cell.values())
+            leaf_at[node.label] = c
+    for c in reversed(range(len(kids))):  # preorder: children after their parent
+        if kids[c]:
+            members[c] = frozenset().union(*(members[k] for k in kids[c]))
+    return CellTree(tuple(leaf_at), tuple(parent), tuple(map(tuple, kids)),
+                    tuple(members), tuple(depth), tuple(leaf_at.values()))

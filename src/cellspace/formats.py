@@ -160,7 +160,9 @@ def load_space(text_or_obj, strict: bool = True) -> LoadedSpace:
     """Parse a cellspace-v1 document (tree form or family form).
 
     Nothing here recurses, so only `json.loads` limits the nesting of a
-    tree-form text: a deeper document is a FormatError.
+    tree-form text: a deeper document is a FormatError.  A tree form costs
+    O(vertices + sum of cell sizes): `cells_of`, then one walk that pairs
+    each vertex with its cell, so weights and leaf payloads are keyed by cell.
     """
     obj = _document(text_or_obj)
     generator = obj.get("generator")
@@ -187,54 +189,38 @@ def load_space(text_or_obj, strict: bool = True) -> LoadedSpace:
     rooted = _parse_node(root_obj)
     tree = cells_of(rooted)
 
-    # collect per-node annotations keyed by point-index sets
-    idx = {p: i for i, p in enumerate(tree.points)}
-    weight_by_set: dict = {}
-    leaf_payload: dict = {}
-
-    below: dict = {}  # id(node) -> point indices below it
-    order, stack = [], [rooted]
-    while stack:  # node, then children right to left: reversed, a postorder
-        node = stack.pop()
-        order.append(node)
-        stack.extend(node.children)
-    for node in reversed(order):
+    order, stack = [], [(rooted, tree.ROOT)]
+    while stack:  # vertex, then children right to left: reversed, a postorder
+        node, c = stack.pop()
+        order.append((node, c))
+        kids = node.children  # an only child shares the cell; others pair up in order
+        stack.extend(zip(kids, tree.children[c] if len(kids) > 1 else (c,)))
+    weight_at: dict[int, Fraction] = {}
+    leaf_payload = []  # leaves left to right, so indexed by point
+    for node, c in reversed(order):
         payload = node.payload  # type: ignore[attr-defined]
         if node.is_leaf():
-            s = frozenset({idx[node.label]})
-            leaf_payload[s] = payload
-        else:
-            s = frozenset().union(*(below.pop(id(k)) for k in node.children))
-        below[id(node)] = s
+            leaf_payload.append(payload)
         if "weight" in payload:
             w = parse_frac(payload["weight"])
-            if weight_by_set.get(s, w) != w:
+            if weight_at.setdefault(c, w) != w:
                 raise FormatError(
-                    f"conflicting weights for collapsed cell {sorted(s)}"
+                    f"conflicting weights for collapsed cell {sorted(tree.members[c])}"
                 )
-            weight_by_set[s] = w
 
     weights = None
-    if weight_by_set:
-        values = []
-        for c in tree.cells():
-            if tree.is_leaf(c):
-                values.append(Fraction(0))
-            else:
-                w = weight_by_set.get(tree.members[c])
-                if w is None:
-                    raise FormatError(
-                        f"internal cell {sorted(tree.members[c])} lacks a weight"
-                    )
-                values.append(w)
+    if weight_at:
+        for c in tree.internal_cells():
+            if c not in weight_at:
+                raise FormatError(f"internal cell {sorted(tree.members[c])} lacks a weight")
+        values = [weight_at[c] if tree.children[c] else Fraction(0) for c in tree.cells()]
         weights = WeightFn(tree, tuple(values))
 
-    measures = {}
-    intervals = {}
-    for s, payload in leaf_payload.items():
-        i = next(iter(s))
+    measures = []
+    intervals = []
+    for payload in leaf_payload:
         if "measure" in payload:
-            measures[i] = parse_frac(payload["measure"])
+            measures.append(parse_frac(payload["measure"]))
         if "interval" in payload:
             quad = payload["interval"]
             if not (
@@ -247,22 +233,18 @@ def load_space(text_or_obj, strict: bool = True) -> LoadedSpace:
                 )
             if quad[1] == 0 or quad[3] == 0:
                 raise FormatError(f"interval has a zero denominator: {quad!r}")
-            intervals[i] = (Fraction(quad[0], quad[1]), Fraction(quad[2], quad[3]))
+            intervals.append((Fraction(quad[0], quad[1]), Fraction(quad[2], quad[3])))
     measure = None
     if measures:
         if len(measures) != tree.n_points:
             raise FormatError("either all leaves carry a measure or none")
-        measure = MeasureAtoms(
-            tree.points, tuple(measures[i] for i in range(tree.n_points))
-        )
+        measure = MeasureAtoms(tree.points, tuple(measures))
     embedding = None
     if intervals:
         if len(intervals) != tree.n_points:
             raise FormatError("either all leaves carry an interval or none")
         thetas = tuple(parse_frac(t) for t in obj.get("thetas", []))
-        embedding = IntervalEmbedding(
-            tuple(intervals[i] for i in range(tree.n_points)), thetas
-        )
+        embedding = IntervalEmbedding(tuple(intervals), thetas)
     return LoadedSpace(tree, weights, measure, embedding, generator)
 
 

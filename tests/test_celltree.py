@@ -398,6 +398,32 @@ def test_deep_caterpillar_round_trip_and_signature():
     assert t.decompose_clopen(t.points[1:]) == [t.children[t.ROOT][1]]
 
 
+def test_deep_caterpillars_isomorphic_without_recursion():
+    # comparing nested signatures 3,000 levels deep recurses in C
+    a = cells_of(_caterpillar(3000))
+    b = cells_of(_caterpillar(3000))
+    assert a.isomorphic_to(b) and b.isomorphic_to(a)
+    assert not a.isomorphic_to(cells_of(_caterpillar(2999)))
+    # as many points and cells, but two pairs at the bottom
+    def pair(x, y):
+        return RootedTree(children=[RootedTree(label=x), RootedTree(label=y)])
+
+    node = RootedTree(children=[pair("a", "b"), pair("c", "d")])
+    for i in range(2997):
+        node = RootedTree(children=[RootedTree(label=f"x{i}"), node])
+    other = cells_of(node)
+    assert (other.n_points, other.n_cells) == (a.n_points, a.n_cells)
+    assert not a.isomorphic_to(other) and not other.isomorphic_to(a)
+
+
+def test_isomorphic_to_agrees_with_equal_signatures():
+    trees = [random_laminar(seed, 3, 6, 3 + seed % 7) for seed in range(60)]
+    for t in trees:
+        for u in trees:
+            assert t.isomorphic_to(u) == (t.shape_signature() == u.shape_signature())
+    assert sum(t.isomorphic_to(u) for t in trees for u in trees) > len(trees)
+
+
 def test_round_trip_random_regression():
     for seed in range(100):
         t = random_laminar(seed, n_points=5 + seed % 25)

@@ -8,17 +8,22 @@ the pairwise laminarity check.  The property tests perturb the families of
 `random_laminar` trees (shuffled order, duplicate sets, missing singletons
 in strict and lenient mode, injected sets that may overlap) and compare
 verdicts, exception types and accepted trees field by field.
+
+`cells_of` reads the canonical tree straight off its rooted tree in one
+preorder walk.  Its reference, `ref_cells_of`, is the set-based build it
+replaced: the leaf-label set below every vertex, then `_from_member_sets`.
 """
 
 import random
+from collections import Counter
 from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellspace import CellTree, cells_of, random_laminar, validate_family
-from cellspace.errors import NotABase, Overlap
+from cellspace import CellTree, RootedTree, cells_of, random_laminar, validate_family
+from cellspace.errors import DuplicateLeafLabel, NotABase, Overlap
 
 
 def ref_from_member_sets(points, sets) -> CellTree:
@@ -207,3 +212,124 @@ def test_overlap_pair_is_the_most_recent_owner():
         validate_family(points, family)
     assert exc.value.a == {"b", "c", "d"} and exc.value.b == {"a", "b"}
     assert exc.value.witness == ("b", "a")
+
+
+# -- cells_of against the set-based build ------------------------------------
+
+
+def ref_cells_of(tree: RootedTree) -> CellTree:
+    nodes = tree.preorder()
+    idx: dict[str, int] = {}
+    for node in nodes:
+        if node.is_leaf():
+            if node.label is None or node.label in idx:
+                raise DuplicateLeafLabel(node.label)
+            idx[node.label] = len(idx)
+    cell: dict[int, frozenset[int]] = {}  # id(vertex) -> leaf indices below it
+    for node in reversed(nodes):  # children before their parent
+        if node.is_leaf():
+            cell[id(node)] = frozenset({idx[node.label]})
+        else:
+            cell[id(node)] = frozenset().union(*(cell[id(ch)] for ch in node.children))
+    return CellTree._from_member_sets(tuple(idx), cell.values())
+
+
+def random_rooted(rng: random.Random, n: int) -> RootedTree:
+    """A rooted tree on n leaves with shuffled labels, where any vertex (the
+    root, a mid-tree vertex or a leaf) may sit below a unary chain."""
+    labels = [f"q{i}" for i in rng.sample(range(10 * n), n)]
+    root = RootedTree()
+    stack = [(root, labels)]
+    while stack:
+        node, labs = stack.pop()
+        for _ in range(rng.choice((0, 0, 0, 1, 2))):
+            node.children = [RootedTree()]
+            node = node.children[0]
+        if len(labs) == 1:
+            node.label = labs[0]
+            continue
+        k = rng.randint(2, min(4, len(labs)))
+        cuts = [0, *sorted(rng.sample(range(1, len(labs)), k - 1)), len(labs)]
+        node.children = [RootedTree() for _ in range(k)]
+        stack.extend(zip(node.children, (labs[a:b] for a, b in zip(cuts, cuts[1:]))))
+    return root
+
+
+def spoil(rng: random.Random, root: RootedTree) -> str:
+    """Break the tree in place: a None label, a repeated label or a subtree
+    hung in a second place (a DAG, never a cycle).  Returns which."""
+    nodes = root.preorder()
+    leaves = [v for v in nodes if v.is_leaf()]
+    kind = rng.choice(("none", "repeat", "share"))
+    if kind == "none":
+        rng.choice(leaves).label = None
+    elif kind == "repeat" and len(leaves) > 1:
+        a, b = rng.sample(leaves, 2)
+        b.label = a.label
+    elif kind == "share" and len(nodes) > 2:
+        shared = rng.choice(nodes[1:])
+        below = {id(v) for v in shared.preorder()}
+        slots = [(v, i) for v in nodes if id(v) not in below for i in range(len(v.children))]
+        v, i = rng.choice(slots)
+        v.children[i] = shared
+    return kind
+
+
+def _cells_of_outcome(fn, root):
+    try:
+        return fn(root), None
+    except DuplicateLeafLabel as e:
+        return None, e
+
+
+def test_cells_of_matches_set_based_build():
+    rng = random.Random(20261019)
+    raised = Counter()
+    for trial in range(3000):
+        root = random_rooted(rng, rng.choice((1, 1, 2, 3, rng.randint(4, 40))))
+        kind = spoil(rng, root) if trial % 3 == 0 else "clean"
+        got, err = _cells_of_outcome(cells_of, root)
+        want, ref_err = _cells_of_outcome(ref_cells_of, root)
+        if ref_err is not None:
+            assert err is not None and err.label == ref_err.label, (trial, kind)
+            raised[kind] += 1
+            continue
+        assert err is None, (trial, kind)
+        _assert_same_tree(got, want)
+        got.check_invariants()
+    assert min(raised[k] for k in ("none", "repeat", "share")) > 100, raised
+
+
+def test_cells_of_unary_chains_and_single_leaf():
+    def chain(node, length):
+        for _ in range(length):
+            node = RootedTree(children=[node])
+        return node
+
+    leaf = RootedTree(label="x")
+    for root in (leaf, chain(leaf, 3)):
+        _assert_same_tree(cells_of(root), ref_cells_of(root))
+        assert cells_of(root).points == ("x",)
+    # chains at the root, mid-tree and just above a leaf
+    inner = RootedTree(children=[chain(RootedTree(label="b"), 2), RootedTree(label="c")])
+    root = chain(RootedTree(children=[RootedTree(label="a"), chain(inner, 4)]), 5)
+    got = cells_of(root)
+    _assert_same_tree(got, ref_cells_of(root))
+    assert got.points == ("a", "b", "c") and got.n_cells == 5
+    assert got.children == ((1, 2), (), (3, 4), (), ())
+
+
+def test_cells_of_reports_the_first_bad_leaf_in_preorder():
+    shared = RootedTree(children=[RootedTree(label="s"), RootedTree(label="t")])
+    cases = [
+        (RootedTree(children=[RootedTree(label="a"), RootedTree(), RootedTree(label="a")]), None),
+        (RootedTree(children=[RootedTree(label="a"), RootedTree(label="a"), RootedTree()]), "a"),
+        (RootedTree(children=[shared, RootedTree(children=[RootedTree(label="u"), shared])]), "s"),
+    ]
+    for root, label in cases:
+        with pytest.raises(DuplicateLeafLabel) as exc:
+            cells_of(root)
+        assert exc.value.label == label
+        with pytest.raises(DuplicateLeafLabel) as ref_exc:
+            ref_cells_of(root)
+        assert ref_exc.value.label == label
