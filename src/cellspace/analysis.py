@@ -397,7 +397,7 @@ def _line_doubling(table: MetricTable, line: np.ndarray) -> DoublingResult:
     # row i holds the codes from the i-th point of the line to the j-th for
     # j >= i (nondecreasing) and -1 for j < i, so its count below a bound is
     # the first line position j >= i whose code is at least the bound
-    lined = table.kernel_codes()[1][np.ix_(line, line)]
+    lined = table.kernel_codes()[1][np.ix_(line, line)].astype(np.intp)  # unsigned codes hold no -1
     reach = _search_rows(np.where(np.tri(n, k=-1, dtype=bool), -1, lined), len(scanner.keys))
     hi = reach(np.argsort(line)[centers], ks + 1)  # each ball is the run [hi - size, hi)
     p, half = hi - sizes, scanner.halves[ks]

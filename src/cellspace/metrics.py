@@ -37,7 +37,8 @@ class MetricTable:
     (int64 when every sum of two entries fits, else Python ints); a float
     table (``exact=False``) is a float64 kernel with a tolerance.  Every
     comparison reads the kernel, and every ball question its cached
-    `kernel_codes`; Fractions (floats) are built only at the edge: `d`,
+    `kernel_codes` (unsigned codes of `_code_dtype`, which readers upcast
+    before arithmetic); Fractions (floats) are built only at the edge: `d`,
     witnesses and slacks, `value_codes` values and `rows`.
     ``MetricTable(labels, rows, ...)`` builds its kernel from the rows on
     first use; `from_kernel` builds no rows until they are read.  A table
@@ -114,13 +115,14 @@ class MetricTable:
 
     def kernel_codes(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct kernel entries in increasing order (the keys) and the
-        n x n array of their indices (the codes), read-only, made once."""
+        n x n array of their indices (the codes), read-only, made once.  The
+        codes are `_code_dtype`'s: upcast them before arithmetic, which wraps."""
         return self._kernel_codes
 
     @cached_property
     def _kernel_codes(self) -> tuple[np.ndarray, np.ndarray]:
         keys, codes = np.unique(self.kernel, return_inverse=True)
-        codes = codes.reshape(self.kernel.shape)
+        codes = codes.astype(_code_dtype(len(keys))).reshape(self.kernel.shape)
         keys.flags.writeable = codes.flags.writeable = False
         return keys, codes
 
@@ -242,6 +244,11 @@ def _exact_matrix(table: MetricTable) -> tuple[np.ndarray, int | None]:
     return np.array(scaled, dtype=_int_dtype(mx)), den
 
 
+def _code_dtype(n_keys: int):
+    """The narrowest unsigned dtype that indexes `n_keys` keys: uint8 up to 256, uint16 up to 65,536."""
+    return np.min_scalar_type(max(n_keys - 1, 0))
+
+
 def _int_dtype(mx: int):
     """int64 when sums of two values of magnitude `mx` fit, else object."""
     return np.int64 if 2 * mx < _INT64_LIMIT else object
@@ -324,8 +331,9 @@ def ultrametric_from_weight(tree: CellTree, w: WeightFn) -> MetricTable:
 
     The cell heights (weights over their common denominator) are ranked by
     one `np.unique` over the cells, and each cell's code is written on its
-    strips (`_strips`, n - 1 of them): the table is codes first, and keeps
-    `tree` and the heights for `_certified`.
+    strips (`_strips`, n - 1 of them): the table is codes first, in `_code_dtype`
+    (one byte per entry up to 256 heights), and keeps `tree` and the heights
+    for `_certified`.
     """
     if w.tree is not tree and w.tree != tree:
         raise ValueError("weight function belongs to a different tree")
@@ -335,8 +343,9 @@ def ultrametric_from_weight(tree: CellTree, w: WeightFn) -> MetricTable:
     scaled = [v.numerator * (den // v.denominator) for v in values]
     heights = np.array(scaled, dtype=_int_dtype(max(map(abs, scaled))))
     keys, code_of = np.unique(heights, return_inverse=True)
+    code_of = code_of.astype(_code_dtype(len(keys)))
     order, runs = _leaf_order(tree)
-    codes = np.zeros((n, n), dtype=np.intp)  # in leaf order; leaves weigh 0, the least key
+    codes = np.zeros((n, n), dtype=code_of.dtype)  # in leaf order; leaves weigh 0, the least key
     for c, run, after in _strips(tree.children, runs):
         codes[run, after] = codes[after, run] = code_of[c]
     if (order != np.arange(n)).any():
@@ -388,12 +397,14 @@ def _strips(kids, runs: list):
 
 
 def _strips_hold(mat: np.ndarray, kids, order, runs: list, value: np.ndarray) -> bool:
-    """True when `mat` in the leaf order `order` holds value[c] on both sides of c's strips."""
+    """True when `mat` in the leaf order `order` holds value[c] on both sides of c's strips
+    (read by min and max: no strip-sized mask)."""
     if (order != np.arange(len(order))).any():
         mat = mat[np.ix_(order, order)]
     return all(
-        (mat[run, after] == value[c]).all() and (mat[after, run] == value[c]).all()
+        block.min() == value[c] == block.max()
         for c, run, after in _strips(kids, runs)
+        for block in (mat[run, after], mat[after, run])
     )
 
 
@@ -685,9 +696,9 @@ class BallScanner:
     """Closed balls of a fixed table, on its cached `kernel_codes`.
 
     ``orders[x]`` lists the points by code from x, ties by index, and
-    ``sorted_codes[x]`` their codes (int32 when n allows), so the ball of
-    radius r around x is the prefix of ``orders[x]`` whose codes are below
-    the code bound of r, the number of ``keys`` at most r.  ``halves[k]``
+    ``sorted_codes[x]`` their codes upcast to int32 (int64 past 2^31 entries),
+    so the ball of radius r around x is the prefix of ``orders[x]`` whose
+    codes are below the code bound of r, the number of ``keys`` at most r.  ``halves[k]``
     is the code bound of half the k-th key.  ``count(x, b)``, the row search
     (`_search_rows`) on ``sorted_codes``, is the size of the ball of the
     points whose code from x is below b, and `balls` lists every ball.

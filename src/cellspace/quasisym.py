@@ -243,7 +243,7 @@ def _ratio_codes(table: MetricTable, a: np.ndarray, b: np.ndarray) -> tuple[_Val
     on float tables to its float quotient.  A zero k[b] raises.
     """
     keys, _ = table.kernel_codes()
-    pairs, inverse = np.unique(a * len(keys) + b, return_inverse=True)
+    pairs, inverse = np.unique(a.astype(np.intp) * len(keys) + b, return_inverse=True)
     a, b = np.divmod(pairs, len(keys))
     if (keys[b] == 0).any():
         raise ZeroDivisionError("distance ratio with a zero distance d(x, z), x != z")
@@ -289,7 +289,7 @@ def _exact_triples(d: MetricTable, dt: MetricTable) -> tuple[np.ndarray, np.ndar
     t_keys, tc = dt.kernel_codes()
     blocks, counts = [np.empty((3, 0), np.int32)], [np.empty(0, np.intp)]
     for x in range(d.n):
-        key = dc[x] * len(t_keys) + tc[x]
+        key = dc[x].astype(np.intp) * len(t_keys) + tc[x]
         key[x] = -1  # y = x is no triple; its group sorts first
         _, first, size = np.unique(key, return_index=True, return_counts=True)
         order = np.argsort(first[1:]) + 1
@@ -305,7 +305,8 @@ def _value_bins(floats: list, codes: np.ndarray) -> np.ndarray:
     """Class id of each value code: identity on the distinct off-diagonal
     floats when there are few, geometric binning otherwise.  Values found
     only on the diagonal get class -1."""
-    seen = np.bincount(codes.ravel(), minlength=len(floats))
+    blocks = np.array_split(codes, codes.size // 2**16 + 1)  # of rows: bincount casts to intp
+    seen = sum(np.bincount(b.ravel(), minlength=len(floats)) for b in blocks)
     seen -= np.bincount(np.diagonal(codes), minlength=len(floats))
     used = np.flatnonzero(seen).tolist()
     vals = sorted({floats[c] for c in used})

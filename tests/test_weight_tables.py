@@ -48,6 +48,7 @@ from cellspace.analysis import (
     metric_regularity,
 )
 from cellspace.formats import space_to_json
+from test_code_dtypes import code_dtype
 
 WIDE = 3**45  # a denominator that forces Python-int kernels
 
@@ -162,10 +163,12 @@ def test_den_and_values_do_not_gather_the_kernel():
 
 def built_table(tree, heights: np.ndarray, rows=None) -> MetricTable:
     """A table recorded as built from (tree, heights), as `ultrametric_from_weight`
-    makes it, whose codes are those of `rows` (by default, of the heights)."""
+    makes it, whose codes are those of `rows` (by default, of the heights), in
+    the narrowest unsigned dtype that indexes the keys."""
     rows = ref_rows(tree, [int(h) for h in heights.tolist()]) if rows is None else rows
     kernel = np.array([[int(v) for v in row] for row in rows], dtype=heights.dtype)
     keys, codes = np.unique(kernel, return_inverse=True)
+    codes = codes.astype(code_dtype(len(keys)))
     for a in (keys, codes, heights):
         a.flags.writeable = False
     t = MetricTable.__new__(MetricTable)
