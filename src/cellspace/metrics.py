@@ -4,7 +4,7 @@ A weight function assigns each cell a nonnegative value, zero exactly on
 singletons and strictly decreasing along inclusion; the induced distance
 d(x, y) = weight of the minimal cell containing both points is an
 ultrametric whose closed balls are exactly the cells.  This module builds
-those metrics, re-checks the claims exhaustively, and provides exact
+those metrics, decides the claims for other tables, and provides exact
 cell diameters and separations for table- and interval-derived geometry.
 """
 
@@ -42,8 +42,8 @@ class MetricTable:
     witnesses and slacks, `value_codes` values and `rows`.
     ``MetricTable(labels, rows, ...)`` builds its kernel from the rows on
     first use; `from_kernel` builds no rows until they are read.  A table
-    from `ultrametric_from_weight` is codes first, gathers its kernel only
-    when read, and `_linkage` certifies its tree on its codes, not by Prim.
+    from `ultrametric_from_weight` keeps its construction (tree, heights) as
+    its `_linkage` and writes its codes from it on first read.
     """
 
     labels: tuple[str, ...]
@@ -121,8 +121,9 @@ class MetricTable:
 
     @cached_property
     def _kernel_codes(self) -> tuple[np.ndarray, np.ndarray]:
-        keys, codes = np.unique(self.kernel, return_inverse=True)
-        codes = codes.astype(_code_dtype(len(keys))).reshape(self.kernel.shape)
+        built = self.__dict__.get("_built")
+        keys, codes = _tree_codes(*built) if built else np.unique(self.kernel, return_inverse=True)
+        codes = codes.astype(_code_dtype(len(keys)), copy=False).reshape(self.n, self.n)
         keys.flags.writeable = codes.flags.writeable = False
         return keys, codes
 
@@ -153,20 +154,18 @@ class MetricTable:
 
     @cached_property
     def _linkage(self) -> tuple[CellTree, np.ndarray] | None:
-        """A weight-built table's (tree, heights) if `_certified`, else `_single_linkage`."""
-        built = self.__dict__.get("_built")
-        return built if built is not None and _certified(self, *built) else _single_linkage(self)
+        """A weight-built table's construction (tree, heights), else `_single_linkage`."""
+        return self.__dict__.get("_built") or _single_linkage(self)
 
     def _heights_on(self, tree: CellTree) -> np.ndarray | None:
-        """The cell heights of a weight-built table certified on `tree`, else None."""
-        found = "_built" in self.__dict__ and self._linkage
-        return found[1] if found and found[0] == tree else None
+        """The cell heights of a table weight-built on `tree`, else None."""
+        built = self.__dict__.get("_built")
+        return built[1] if built is not None and built[0] == tree else None
 
     @cached_property
     def ultrametric_tree(self) -> tuple[CellTree, np.ndarray] | None:
         """The table's closed balls as a canonical CellTree, and the kernel
-        height (diameter) of each cell: the certified `_linkage`, computed
-        once per table.
+        height (diameter) of each cell: `_linkage`, computed once per table.
 
         None when the single-linkage certificate declines the table, and on
         a pseudo-ultrametric (some internal cell has height 0), whose balls
@@ -327,21 +326,28 @@ def weight_from_sequence(tree: CellTree, rho_seq) -> WeightFn:
 
 def ultrametric_from_weight(tree: CellTree, w: WeightFn) -> MetricTable:
     """d(x, y) = weight of the minimal cell containing x and y; 0 on the
-    diagonal.  Satisfies the strong triangle inequality by construction.
-
-    The cell heights (weights over their common denominator) are ranked by
-    one `np.unique` over the cells, and each cell's code is written on its
-    strips (`_strips`, n - 1 of them): the table is codes first, in `_code_dtype`
-    (one byte per entry up to 256 heights), and keeps `tree` and the heights
-    for `_certified`.
+    diagonal.  `WeightFn` checks that w is 0 exactly on the leaves and
+    strictly decreasing, so d is an ultrametric whose closed balls are the
+    cells: the construction is the certificate.  The table records `tree`
+    and the cell heights (weights over their common denominator) and fills
+    nothing; its codes (`_tree_codes`) and kernel are made on first read.
     """
     if w.tree is not tree and w.tree != tree:
         raise ValueError("weight function belongs to a different tree")
-    n = tree.n_points
     values = [w[c] if tree.children[c] else Fraction(0) for c in tree.cells()]
     den = lcm(*{v.denominator for v in values})
     scaled = [v.numerator * (den // v.denominator) for v in values]
     heights = np.array(scaled, dtype=_int_dtype(max(map(abs, scaled))))
+    heights.flags.writeable = False
+    table = MetricTable.__new__(MetricTable)
+    table.__dict__.update(labels=tree.points, exact=True, tol=0.0, den=den, _built=(tree, heights))
+    return table
+
+
+def _tree_codes(tree: CellTree, heights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Keys and codes of d(x, y) = heights[minimal common cell]: the heights ranked once, and
+    each cell's code written on its strips (`_strips`, n - 1 of them), in `_code_dtype`."""
+    n = tree.n_points
     keys, code_of = np.unique(heights, return_inverse=True)
     code_of = code_of.astype(_code_dtype(len(keys)))
     order, runs = _leaf_order(tree)
@@ -351,11 +357,7 @@ def ultrametric_from_weight(tree: CellTree, w: WeightFn) -> MetricTable:
     if (order != np.arange(n)).any():
         at = np.argsort(order)  # position of each point in leaf order
         codes = codes[np.ix_(at, at)]
-    keys.flags.writeable = codes.flags.writeable = heights.flags.writeable = False
-    table = MetricTable.__new__(MetricTable)
-    table.__dict__.update(labels=tree.points, exact=True, tol=0.0, den=den)
-    table.__dict__.update(_kernel_codes=(keys, codes), _built=(tree, heights))
-    return table
+    return keys, codes
 
 
 def _walk(kids, root: int) -> tuple[np.ndarray, list]:
@@ -405,21 +407,6 @@ def _strips_hold(mat: np.ndarray, kids, order, runs: list, value: np.ndarray) ->
         block.min() == value[c] == block.max()
         for c, run, after in _strips(kids, runs)
         for block in (mat[run, after], mat[after, run])
-    )
-
-
-def _certified(table: MetricTable, tree: CellTree, heights: np.ndarray) -> bool:
-    """True when the heights are keys of `table`, 0 on leaves and strictly
-    increasing upwards, and the codes are the leaf code on the diagonal and
-    each cell's code on its strips: an ultrametric whose balls are the cells."""
-    keys, codes = table.kernel_codes()
-    want = np.searchsorted(keys, heights).clip(max=len(keys) - 1)  # above every key: fails below
-    leaves = list(tree.leaf_of)
-    return (
-        (keys[want] == heights).all() and (heights[leaves] == 0).all()
-        and (heights[1:] < heights[list(tree.parent[1:])]).all()
-        and (codes.diagonal() == want[leaves]).all()
-        and _strips_hold(codes, tree.children, *_leaf_order(tree), want)
     )
 
 
@@ -511,9 +498,9 @@ class UltrametricVerdict:
 def validate_ultrametric(m: MetricTable) -> UltrametricVerdict:
     """Decide d(x, z) <= max(d(x, y), d(y, z)) for every triple.
 
-    A table passes at once when its certificate (`_linkage`, O(n^2), once
-    per table) accepts it: `_certified` on weight-built tables, else single
-    linkage (Prim) on a symmetric kernel with a zero diagonal and no
+    A table passes at once when it has a `_linkage` (once per table): a
+    weight-built table by construction, any other when single linkage
+    (Prim, O(n^2)) certifies a symmetric kernel with a zero diagonal and no
     negative entry (and a nonnegative tolerance on float tables).  The
     exhaustive triple scan runs only when the certificate fails or the
     table lies outside that domain: it returns the lexicographically
@@ -560,8 +547,8 @@ class Geometry:
         return self._diams[c]
 
     def separation(self, c1: int, c2: int):
-        """The least distance between two disjoint cells; on a weight-built table certified
-        on `tree` (`_lca`), the height of their lowest common ancestor, with no kernel read."""
+        """The least distance between two disjoint cells; on a table weight-built on `tree`
+        (`_lca`), the height of their lowest common ancestor, with no kernel read."""
         if self.tree.members[c1] & self.tree.members[c2]:
             raise OverlappingCells(f"cells {c1} and {c2} intersect")
         if self._hulls is not None:
@@ -604,7 +591,7 @@ class Geometry:
 def _diameter_keys(tree: CellTree, table: MetricTable) -> np.ndarray:
     """The kernel value of each cell's diameter: the largest entry of the
     strips (`_strips`) of the cell and of the cells below it, in leaf
-    order (the heights of a weight-built table certified on `tree`).  Strip
+    order (the heights of a table weight-built on `tree`).  Strip
     maxima are `np.fmax`, so NaN entries are skipped."""
     if tuple(table.labels) != tuple(tree.points):
         raise PointSetMismatch("table labels differ from tree points")

@@ -15,11 +15,11 @@ Each comes as an int64 table, a Python-int table and a float table.  The
 oracle of a table is the same table with its codes widened to intp, the
 dtype `np.unique` returns: `_ratio_codes`, `_exact_triples`,
 `_sampled_triples`, `_count_triples`, `_value_bins`, `BallScanner`,
-`_line_doubling`, `critical_radii`, `_certified` and `_strips_hold` must
-answer the same on both.  Two more tests pin the memory of the
-weight-built path: `_value_bins` counts codes in row blocks, and
-`_strips_hold` reads each strip by its min and max, so neither makes a
-temporary the size of the code matrix.
+`_line_doubling`, `critical_radii` and `_strips_hold` must answer the
+same on both.  One more test pins the memory of the weight-built path:
+the code fill (`metrics._tree_codes`) writes each strip in place, and
+`_value_bins` counts codes in row blocks, so neither makes a temporary the
+size of the code matrix.
 """
 
 import random
@@ -243,27 +243,23 @@ def test_ball_readers_match_intp_codes(n_keys, kind, monkeypatch):
         assert _line_doubling(table, line) == _line_doubling(wide, line)
 
 
-# -- certificates --------------------------------------------------------------------
+# -- the strip certificate -----------------------------------------------------------
 
 
 @pytest.mark.parametrize("kind", ("int64", "python-int"))
 @pytest.mark.parametrize("n_keys", TREE_KEYS)
 def test_certificates_match_intp_codes(n_keys, kind):
+    # `_strips_hold`, the strip certificate of `_cluster_tree`
     tree, table = tree_case(n_keys, kind)
     heights = table._built[1]
     order, runs = metrics._leaf_order(tree)
     for t in (table, widened(table)):
-        assert metrics._certified(t, tree, heights)
         keys, codes = t.kernel_codes()
         want = np.searchsorted(keys, heights)
         assert metrics._strips_hold(codes, tree.children, order, runs, want)
         for i, j in ((0, tree.n_points - 1), (tree.n_points - 2, tree.n_points - 1)):
             bad = codes.copy()
             bad[i, j] = len(keys) - 1 - bad[i, j]  # the top code at a leaf pair, or 0 at the root's
-            changed = MetricTable.__new__(MetricTable)
-            changed.__dict__.update(t.__dict__)
-            changed.__dict__["_kernel_codes"] = (keys, bad)
-            assert not metrics._certified(changed, tree, heights)
             assert not metrics._strips_hold(bad, tree.children, order, runs, want)
 
 
@@ -279,12 +275,13 @@ def peak_bytes(fn, *args) -> int:
         tracemalloc.stop()
 
 
-def test_weight_built_certificate_and_value_bins_make_no_matrix_sized_temporary():
+def test_weight_built_fill_and_value_bins_make_no_matrix_sized_temporary():
     tree = product_space(ProductSpec((2,) * 12))
     table = ultrametric_from_weight(tree, weight_from_sequence(tree, [F(1, 2**k) for k in range(13)]))
+    filled = peak_bytes(metrics._tree_codes, *table._built)
     values, codes = table.value_codes()
     assert codes.dtype == np.uint8 and codes.nbytes == table.n**2
-    certified = peak_bytes(metrics._certified, table, *table._built)
     binned = peak_bytes(quasisym._value_bins, [float(v) for v in values], codes)
-    # the root strip alone holds a quarter of the entries
-    assert certified < codes.nbytes // 8 and binned < codes.nbytes // 8
+    # beyond the codes it returns, the fill writes each strip in place (the
+    # root strip alone holds a quarter of the entries)
+    assert filled - codes.nbytes < codes.nbytes // 8 and binned < codes.nbytes // 8

@@ -1,12 +1,14 @@
 """Weight-built tables against the plain kernel path.
 
-`ultrametric_from_weight` builds its table codes first: the cell heights
-are ranked once, each cell's code is written on its strips, the kernel is
-gathered only when read, and the table records its construction tree.
-`_linkage` certifies that tree against the codes (`metrics._certified`),
-so Prim's single linkage runs only when the certificate declines, and the
-diameters and separations of a geometry on that tree are read off the
-heights.
+`ultrametric_from_weight` fills no n x n array: the table records its
+construction tree and the cell heights, and that tree is its `_linkage`.
+`WeightFn` checks the hypotheses under which d(x, y) = w(minimal common
+cell) is an ultrametric whose closed balls are the cells (0 exactly on the
+leaves, positive and strictly decreasing on the internal cells), so the
+construction is the certificate.  The codes are written on the strips of
+the tree when first read (`metrics._tree_codes`), the kernel is gathered
+from them, and the diameters and separations of a geometry on that tree
+are read off the heights.
 
 The oracle is the same kernel given to `MetricTable.from_kernel`, which
 runs the plain path: `np.unique` codes, Prim, strip maxima and `np.ix_`
@@ -15,11 +17,13 @@ trees with 2 to 6 children per cell (n = 1 and n = 2 among them), a cell
 with 64 children, `seq:` weights whose common denominator forces Python-int
 kernels, and trees relabeled so that leaf order is not point order.
 
-The certificate is checked to be live: a recorded tree whose codes differ
-in one strip entry, or whose heights do not strictly increase, is declined,
-and the table then answers exactly as the plain table does.
+`WeightFn` is then the only guard, so each of its rejections is checked
+directly, and through `validate` on every weighted file that can express
+it.  On the CLI, `validate` and `analyze` never write codes, and
+`distortion` writes them and answers as tables built from rows do.
 """
 
+import json
 from fractions import Fraction as F
 
 import numpy as np
@@ -47,8 +51,8 @@ from cellspace.analysis import (
     metric_doubling_constant,
     metric_regularity,
 )
+from cellspace.errors import NotDecreasing
 from cellspace.formats import space_to_json
-from test_code_dtypes import code_dtype
 
 WIDE = 3**45  # a denominator that forces Python-int kernels
 
@@ -158,95 +162,18 @@ def test_den_and_values_do_not_gather_the_kernel():
     assert t.d(0, 1) == F(1, 2) and t.d(0, 4) == 1 and "_kernel_den" in t.__dict__
 
 
-# -- the certificate is live ----------------------------------------------------------
-
-
-def built_table(tree, heights: np.ndarray, rows=None) -> MetricTable:
-    """A table recorded as built from (tree, heights), as `ultrametric_from_weight`
-    makes it, whose codes are those of `rows` (by default, of the heights), in
-    the narrowest unsigned dtype that indexes the keys."""
-    rows = ref_rows(tree, [int(h) for h in heights.tolist()]) if rows is None else rows
-    kernel = np.array([[int(v) for v in row] for row in rows], dtype=heights.dtype)
-    keys, codes = np.unique(kernel, return_inverse=True)
-    codes = codes.astype(code_dtype(len(keys)))
-    for a in (keys, codes, heights):
-        a.flags.writeable = False
-    t = MetricTable.__new__(MetricTable)
-    t.__dict__.update(labels=tree.points, exact=True, tol=0.0, den=1)
-    t.__dict__.update(_kernel_codes=(keys, codes.reshape(kernel.shape)), _built=(tree, heights))
-    return t
-
-
-def assert_declined_like_plain(tree, t, monkeypatch):
-    calls = []
-    linkage = metrics._single_linkage
-    monkeypatch.setattr(metrics, "_single_linkage", lambda table: calls.append(table) or linkage(table))
-    plain = MetricTable.from_kernel(t.labels, t.kernel.copy(), t.den)
-    assert not metrics._certified(t, *t._built)
-    got, want = facts(tree, t), facts(tree, plain)
-    assert calls[0] is t
-    assert got == want
-
-
-@settings(max_examples=30, deadline=None, database=None)
-@given(case=weight_trees(), data=st.data())
-def test_certificate_declines_a_changed_strip_code(case, data):
-    tree, w = case
-    if tree.n_points < 2:
-        return
-    good = ultrametric_from_weight(tree, w)
-    heights = good._built[1]
-    rows = [list(row) for row in ref_rows(tree, heights.tolist())]
-    i, j = sorted(data.draw(st.lists(st.integers(0, tree.n_points - 1), min_size=2, max_size=2, unique=True)))
-    rows[i][j] += data.draw(st.sampled_from((1, -1, int(heights.max()))))
-    if data.draw(st.booleans()):  # both sides of the strip, or one
-        rows[j][i] = rows[i][j]
-    with pytest.MonkeyPatch.context() as mp:
-        assert_declined_like_plain(tree, built_table(tree, heights.copy(), rows), mp)
-
-
-@pytest.mark.parametrize("bend", (0, 1))
-@settings(max_examples=20, deadline=None, database=None)
-@given(case=weight_trees(), data=st.data())
-def test_certificate_declines_heights_that_do_not_increase(bend, case, data):
-    # an internal cell as high as its parent (an ultrametric whose balls
-    # are not the cells) or higher (no ultrametric at all)
-    tree, w = case
-    inner = [c for c in tree.internal_cells() if c != tree.ROOT]
-    if not inner:
-        return
-    heights = ultrametric_from_weight(tree, w)._built[1].copy()
-    c = data.draw(st.sampled_from(inner))
-    heights[c] = heights[tree.parent[c]] + bend
-    with pytest.MonkeyPatch.context() as mp:
-        assert_declined_like_plain(tree, built_table(tree, heights), mp)
-
-
-def test_certificate_declines_leaves_above_0(monkeypatch):
-    # every other check holds: the heights are keys, strictly increasing,
-    # and the codes are those of the heights, 1 on the diagonal
-    tree = product_space(ProductSpec((2, 2)))
-    good = np.array([4, 2, 0, 0, 2, 0, 0])
-    assert metrics._certified(built_table(tree, good), tree, good)
-    assert_declined_like_plain(tree, built_table(tree, np.array([4, 2, 1, 1, 2, 1, 1])), monkeypatch)
-
-
-def test_certificate_declines_heights_that_are_not_keys(monkeypatch):
-    # keys 0, 2, 4: the height 1 searches to the code of 2
-    tree = product_space(ProductSpec((2, 2)))
-    rows = built_table(tree, np.array([4, 2, 0, 0, 2, 0, 0])).rows
-    assert_declined_like_plain(tree, built_table(tree, np.array([4, 1, 0, 0, 1, 0, 0]), rows), monkeypatch)
-
-
 def test_weight_built_tables_never_run_single_linkage_in_the_cli(tmp_path, capsys, monkeypatch):
     from cellspace.cli import main
 
-    def refuse(*args):
-        raise AssertionError("single linkage ran")
+    def refuse(what):
+        def refused(*args):
+            raise AssertionError(f"{what} ran")
+        return refused
 
-    seen = []
-    gather = metrics._exact_matrix
-    monkeypatch.setattr(metrics, "_single_linkage", refuse)
+    seen, written = [], []
+    gather, fill, linkage = metrics._exact_matrix, metrics._tree_codes, metrics._single_linkage
+    monkeypatch.setattr(metrics, "_single_linkage", refuse("single linkage"))
+    monkeypatch.setattr(metrics, "_tree_codes", refuse("the code fill"))
     monkeypatch.setattr(metrics, "_exact_matrix", lambda t: seen.append(t) or gather(t))
     tree = relabeled(product_space(ProductSpec((3, 2, 2))), [5, 0, 11, 1, 3, 2, 10, 4, 9, 6, 8, 7])
     w = weight_from_sequence(tree, [1, F(1, 3), F(1, 7), F(1, 11)])
@@ -257,6 +184,85 @@ def test_weight_built_tables_never_run_single_linkage_in_the_cli(tmp_path, capsy
     for spec in ("weights", "geo:1/2", "reg:1/3", "seq:1,1/2,1/5,1/" + str(WIDE)):
         assert main(["analyze", str(weighted), "--metric", spec]) == 0, spec
     assert seen == []  # and no weight-built kernel was gathered
+
+    # distortion reads codes: one fill per table, and the outputs of tables built from rows
+    monkeypatch.setattr(metrics, "_single_linkage", linkage)
+    monkeypatch.setattr(metrics, "_tree_codes", lambda *a: written.append(a) or fill(*a))
+    product = tmp_path / "p.json"
+    assert main(["generate", "product", "--sizes", "2,2,2", "--out", str(product)]) == 0
+
+    def distortion(out):
+        capsys.readouterr()
+        code = main([
+            "distortion", str(product), "geo:1/2", "geo:1/3",
+            "--depths", "3,5", "--grid", "pow2:-8:2", "--out", str(tmp_path / out),
+        ])
+        return code, capsys.readouterr().out, {f.name: f.read_bytes() for f in (tmp_path / out).iterdir()}
+
+    built = distortion("built")
+    assert len(written) == 4  # two metrics at two depths
+    monkeypatch.setattr(
+        metrics, "ultrametric_from_weight", lambda tree, w: MetricTable(tree.points, ref_rows(tree, w.values))
+    )
+    assert distortion("rows") == built and built[0] == 0 and len(written) == 4
+
+
+# -- WeightFn, the only guard ----------------------------------------------------------
+
+TREE = product_space(ProductSpec((2, 2)))  # cells in preorder: 0 the root, 1 and 4 its children
+GOOD = (F(1), F(1, 2), F(0), F(0), F(1, 2), F(0), F(0))
+
+
+def with_value(c, v) -> tuple:
+    return GOOD[:c] + (v,) + GOOD[c + 1 :]
+
+
+REJECTIONS = {
+    "leaf-above-0": (with_value(2, F(1, 3)), ValueError, "leaf cell 2 must have weight 0, got 1/3"),
+    "leaf-below-0": (with_value(6, F(-1, 3)), ValueError, "leaf cell 6 must have weight 0, got -1/3"),
+    "root-0": (with_value(0, F(0)), ValueError, "internal cell 0 must have positive weight"),
+    "internal-0": (with_value(1, F(0)), ValueError, "internal cell 1 must have positive weight"),
+    "internal-below-0": (with_value(4, F(-1, 2)), ValueError, "internal cell 4 must have positive weight"),
+    "child-equal": (with_value(1, F(1)), NotDecreasing, "weight does not strictly decrease on edge 0 -> 1"),
+    "child-greater": (with_value(4, F(2)), NotDecreasing, "weight does not strictly decrease on edge 0 -> 4"),
+    "too-few": (GOOD[:-1], ValueError, "one weight per cell required"),
+    "too-many": (GOOD + (F(0),), ValueError, "one weight per cell required"),
+}
+
+
+def test_weightfn_accepts_weights_that_strictly_decrease_to_0_on_the_leaves():
+    assert WeightFn(TREE, GOOD).values == GOOD
+
+
+@pytest.mark.parametrize(("values", "error", "message"), REJECTIONS.values(), ids=REJECTIONS)
+def test_weightfn_rejects(values, error, message):
+    with pytest.raises(ValueError) as info:
+        WeightFn(TREE, values)
+    assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    ("root", "child", "message"),
+    [
+        ("0", "1/2", "internal cell 0 must have positive weight"),
+        ("1", "0", "internal cell 1 must have positive weight"),
+        ("1", "-1/2", "internal cell 1 must have positive weight"),
+        ("1", "1", "weight does not strictly decrease on edge 0 -> 1"),
+        ("1", "2", "weight does not strictly decrease on edge 0 -> 1"),
+    ],
+    ids=["root-0", "child-0", "child-below-0", "child-equal", "child-greater"],
+)
+def test_validate_fails_on_weights_that_weightfn_rejects(tmp_path, capsys, root, child, message):
+    # leaf weights and the weight count are not expressible in a file: the
+    # loader gives every leaf weight 0 and every internal cell one weight
+    from cellspace.cli import main
+
+    doc = json.loads(space_to_json(TREE, weights=weight_from_sequence(TREE, [1, F(1, 2), F(1, 4)])))
+    doc["root"]["weight"], doc["root"]["children"][0]["weight"] = root, child
+    weighted = tmp_path / "w.json"
+    weighted.write_text(json.dumps(doc))
+    assert main(["validate", str(weighted)]) == 1
+    assert capsys.readouterr() == (f"FAIL: {message}\n", "")
 
 
 def test_declined_single_linkage_builds_no_member_sets(monkeypatch):
