@@ -371,8 +371,10 @@ def _tree_doubling(table: MetricTable, tree: CellTree, heights: np.ndarray) -> D
     if best <= 1:
         return DoublingResult(1, True, None)
     attaining = np.flatnonzero(counts == best).tolist()
-    x = min(min(tree.members[c]) for c in attaining)
-    c = min((c for c in attaining if x in tree.members[c]), key=heights.__getitem__)
+    order, runs = tree.leaf_order  # a cell's least point leads its run
+    x = int(min(order[runs[c].start] for c in attaining))
+    chain = {tree.leaf_of[x], *tree.ancestors(tree.leaf_of[x])}  # the cells that hold x
+    c = min((c for c in attaining if c in chain), key=heights.__getitem__)
     return DoublingResult(best, True, (table.labels[x], table._value(heights[c])))
 
 

@@ -7,11 +7,16 @@ the full set, the leaves are the singletons, and the children of a cell are
 its maximal proper sub-cells.  ``CellTree`` is the canonical form of that
 tree: node ids are ints assigned in depth-first preorder, children ordered by
 smallest contained point index, and cells with equal point sets collapsed.
+In the preorder walk each cell's points are one run [start, stop) of the
+leaves (`CellTree.leaf_order`), which is how the tree stores them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .errors import (
     BrokenCellTree,
@@ -54,15 +59,16 @@ class RootedTree:
 class CellTree:
     """Canonical laminar cell family; immutable after construction.
 
-    Cells are node ids (ints).  Node 0 is the root and holds every point;
-    each leaf holds exactly one point; every internal node has at least two
-    children.  ``members[c]`` is the frozenset of point indices in cell c.
+    Cells are node ids (ints) in depth-first preorder.  Node 0 is the root
+    and holds every point; ``leaf_of`` maps each point index to its leaf,
+    one point per leaf; every internal node has at least two children.  A
+    cell's points are its run of `leaf_order`; ``members[c]``, the frozenset
+    of point indices in cell c, is built from the runs on first read.
     """
 
     points: tuple[str, ...]
     parent: tuple[int | None, ...]
     children: tuple[tuple[int, ...], ...]
-    members: tuple[frozenset[int], ...]
     depth: tuple[int, ...]
     leaf_of: tuple[int, ...]  # point index -> leaf node id
 
@@ -76,7 +82,7 @@ class CellTree:
 
     @property
     def n_cells(self) -> int:
-        return len(self.members)
+        return len(self.parent)
 
     def cells(self) -> range:
         return range(self.n_cells)
@@ -97,15 +103,26 @@ class CellTree:
             raise KeyError(f"unknown point {label!r}") from None
 
     def cell_points(self, c: int) -> frozenset[str]:
-        return frozenset(self.points[i] for i in self.members[c])
+        order, runs = self.leaf_order
+        return frozenset(self.points[i] for i in order[runs[c]].tolist())
 
-    @property
+    @cached_property
     def _index(self) -> dict[str, int]:
-        idx = self.__dict__.get("_index_cache")
-        if idx is None:
-            idx = {p: i for i, p in enumerate(self.points)}
-            self.__dict__["_index_cache"] = idx
-        return idx
+        return {p: i for i, p in enumerate(self.points)}
+
+    @cached_property
+    def leaf_order(self) -> tuple[np.ndarray, list[slice]]:
+        """The points in preorder of their leaves (leaf ids are preorder), and
+        each cell's run [start, stop) of them: the one record of which points
+        a cell holds.  Between two sibling cells lies a basic slice of a
+        matrix permuted into leaf order."""
+        return np.argsort(self.leaf_of), _walk(self.children, self.ROOT)[1]
+
+    @cached_property
+    def members(self) -> tuple[frozenset[int], ...]:
+        """The frozenset of point indices of each cell, from the runs of `leaf_order`."""
+        order, runs = self.leaf_order
+        return tuple(map(frozenset, map(order.tolist().__getitem__, runs)))
 
     # -- construction ----------------------------------------------------
 
@@ -144,23 +161,21 @@ class CellTree:
             kids[a].append(i)
             for p in s:
                 owner[p] = i
-        return cls._from_children(points, fam, kids, 0)[0]
+        return cls._from_children(points, [min(s) for s in fam], kids, 0)[0]
 
     @classmethod
-    def _from_children(cls, points, sets, kids, root: int) -> tuple["CellTree", list[int]]:
-        """The canonical tree of a rooted forest of point sets, and the index
-        into `sets` of each cell.
+    def _from_children(cls, points, mins, kids, root: int) -> tuple["CellTree", list[int]]:
+        """The canonical tree of a rooted forest of point sets, given by the
+        least point ``mins[i]`` of each set i, and the set of each cell.
 
-        ``kids[i]`` lists the sets directly below ``sets[i]`` (sorted in
-        place, by smallest point); they must partition it, and every
-        singleton must be a set with no kids.  Sets not reachable from
-        `root` are left out (and may be None).  Cells are numbered in
-        depth-first preorder.
+        ``kids[i]`` lists the sets directly below set i (sorted in place, by
+        least point); they must partition it, and every singleton must be a
+        set with no kids, so a set with no kids is the leaf of its least
+        point.  Sets not reachable from `root` are left out.  Cells are
+        numbered in depth-first preorder.
         """
-        points = tuple(points)
-        mins = [min(s) if s else None for s in sets]
         order: list[int] = []
-        up: list[int | None] = [None] * len(sets)  # the parent of each set
+        up: list[int | None] = [None] * len(kids)  # the parent of each set
         stack = [root]
         while stack:
             i = stack.pop()
@@ -170,28 +185,18 @@ class CellTree:
             for k in below:
                 up[k] = i
             stack.extend(reversed(below))
-        ids = [0] * len(sets)
+        ids = [0] * len(kids)
+        leaf_of = [0] * len(points)
         for c, i in enumerate(order):
             ids[i] = c
+            if not kids[i]:
+                leaf_of[mins[i]] = c
         parent = tuple(None if up[i] is None else ids[up[i]] for i in order)
         children = tuple(tuple(ids[k] for k in kids[i]) for i in order)
         depth_list = [0] * len(order)
         for c in range(1, len(order)):  # preorder: a parent before its children
             depth_list[c] = depth_list[parent[c]] + 1
-        members = tuple(sets[i] for i in order)
-        leaf_of = [0] * len(points)
-        for c, s in enumerate(members):
-            if len(s) == 1 and not children[c]:
-                leaf_of[next(iter(s))] = c
-        tree = cls(
-            points=points,
-            parent=parent,
-            children=children,
-            members=members,
-            depth=tuple(depth_list),
-            leaf_of=tuple(leaf_of),
-        )
-        return tree, order
+        return cls(tuple(points), parent, children, tuple(depth_list), tuple(leaf_of)), order
 
     # -- structural navigation -------------------------------------------
 
@@ -265,12 +270,9 @@ class CellTree:
 
     def tree_of(self) -> RootedTree:
         """Abstract rooted tree with leaf labels equal to point labels."""
-        nodes = [
-            RootedTree(label=self.points[next(iter(self.members[c]))])
-            if self.is_leaf(c)
-            else RootedTree()
-            for c in self.cells()
-        ]
+        nodes = [RootedTree() for _ in self.cells()]
+        for i, leaf in enumerate(self.leaf_of):
+            nodes[leaf].label = self.points[i]
         for c in self.internal_cells():
             nodes[c].children = [nodes[k] for k in self.children[c]]
         return nodes[self.ROOT]
@@ -279,38 +281,29 @@ class CellTree:
 
     def check_invariants(self) -> None:
         """Re-check the CellTree invariants; raises BrokenCellTree on the
-        first failure.
+        first failure.  O(cells): no point set is built.
 
-        One iterative walk from the root, O(sum of cell sizes) in all.  Per
-        cell it checks that the cell is nonempty, a leaf holds one point, an
-        internal cell has at least two children, and its children name it as
-        parent, are pairwise disjoint, cover it and are ordered by smallest
-        point.  The walk must reach every cell exactly once, which rules out
-        orphan cells, cells listed under two parents and cycles.  The cells
-        then form one tree in which the root holds every point and children
-        partition their parent, so the family is laminar: two cells are
-        nested if one lies below the other, and otherwise they lie below
-        distinct, hence disjoint, children of their lowest common ancestor.
+        One stack walk from the root must reach every cell exactly once,
+        each child naming its parent and no internal cell having one child,
+        which rules out orphan cells, cells under two parents and cycles.
+        ``leaf_of`` must map the points one-to-one onto the leaves of that
+        tree.  A cell holds the points of the leaves below it, so the root
+        holds every point and children partition their parent: the family is
+        laminar.  Last, from the leaves up, a cell's least point is its
+        first child's, and the children must be in order of least point.
         """
         m = self.n_cells
-        if self.members[self.ROOT] != frozenset(range(self.n_points)):
-            raise BrokenCellTree("root does not hold every point")
+        if not m:
+            raise BrokenCellTree("no cells")
         reached = [False] * m
         reached[self.ROOT] = True
-        stack = [self.ROOT]
+        walk, stack = [], [self.ROOT]
         while stack:
             c = stack.pop()
-            members = self.members[c]
-            if not members:
-                raise BrokenCellTree(f"empty cell {c}")
+            walk.append(c)
             kids = self.children[c]
-            if not kids:
-                if len(members) != 1:
-                    raise BrokenCellTree(f"leaf {c} with several points")
-                continue
-            if len(kids) < 2:
+            if len(kids) == 1:
                 raise BrokenCellTree(f"unary internal node {c}")
-            union: set[int] = set()
             for k in kids:
                 if not 0 <= k < m:
                     raise BrokenCellTree(f"child {k} of {c} is not a cell")
@@ -319,20 +312,27 @@ class CellTree:
                 reached[k] = True
                 if self.parent[k] != c:
                     raise BrokenCellTree(f"child {k} of {c} has another parent")
-                if self.members[k] & union:
-                    raise BrokenCellTree(f"overlapping children of {c}")
-                union |= self.members[k]
-            if union != members:
-                raise BrokenCellTree(f"children of {c} do not partition it")
-            mins = [min(self.members[k]) for k in kids]
-            if mins != sorted(mins):
-                raise BrokenCellTree(f"children of {c} out of order")
             stack.extend(kids)
         if not all(reached):
             orphan = reached.index(False)
             raise BrokenCellTree(f"cell {orphan} is not reachable from the root")
-        if m > max(1, 2 * self.n_points - 1):
-            raise BrokenCellTree(f"{m} cells on {self.n_points} points")
+        if len(self.leaf_of) != self.n_points:
+            raise BrokenCellTree(f"{len(self.leaf_of)} leaves listed for {self.n_points} points")
+        least: list = [None] * m  # the least point of each cell
+        for p, c in enumerate(self.leaf_of):
+            if not 0 <= c < m or self.children[c]:
+                raise BrokenCellTree(f"point {p} is on {c}, which is not a leaf")
+            if least[c] is not None:
+                raise BrokenCellTree(f"leaf {c} with several points")
+            least[c] = p
+        for c in reversed(walk):  # children before their parent
+            if kids := self.children[c]:
+                mins = [least[k] for k in kids]
+                if mins != sorted(mins):
+                    raise BrokenCellTree(f"children of {c} out of order")
+                least[c] = mins[0]
+            elif least[c] is None:
+                raise BrokenCellTree(f"leaf {c} holds no point")
 
     def shape_signature(self):
         """Label-free canonical form; equal signatures = isomorphic trees.
@@ -414,15 +414,13 @@ def cells_of(tree: RootedTree) -> CellTree:
     Unary chains collapse (a vertex and its only child contain the same
     leaves); every leaf must carry a distinct label, else DuplicateLeafLabel
     names the first bad leaf in preorder.  One preorder walk numbers cells,
-    and points in leaf order, so the ids are already canonical; one reverse
-    pass unions members.  O(vertices + sum of cell sizes): no sort, no owner
-    pass.
+    and points in leaf order, so the ids are already canonical.  O(vertices):
+    no sort, no owner pass, no point set (a cell's points are a run).
     """
     leaf_at: dict[str, int] = {}  # label -> leaf cell, in point order
     parent: list[int | None] = []
     kids: list[list[int]] = []
     depth: list[int] = []
-    members: list = []
     stack: list = [(tree, None, [])]  # vertex, parent cell, its child list
     while stack:
         node, up, siblings = stack.pop()
@@ -433,14 +431,28 @@ def cells_of(tree: RootedTree) -> CellTree:
         parent.append(up)
         kids.append([])
         depth.append(0 if up is None else depth[up] + 1)
-        members.append(None if node.children else frozenset((len(leaf_at),)))
         stack.extend((k, c, kids[c]) for k in reversed(node.children))
         if not node.children:
             if node.label is None or node.label in leaf_at:
                 raise DuplicateLeafLabel(node.label)
             leaf_at[node.label] = c
-    for c in reversed(range(len(kids))):  # preorder: children after their parent
-        if kids[c]:
-            members[c] = frozenset().union(*(members[k] for k in kids[c]))
     return CellTree(tuple(leaf_at), tuple(parent), tuple(map(tuple, kids)),
-                    tuple(members), tuple(depth), tuple(leaf_at.values()))
+                    tuple(depth), tuple(leaf_at.values()))
+
+
+def _walk(kids, root: int) -> tuple[np.ndarray, list]:
+    """The leaves below `root` in preorder of the child lists `kids`, and
+    the run of each cell below `root` in that order (None for the others)."""
+    leaves, inner, runs, stack = [], [], [None] * len(kids), [root]
+    while stack:
+        c = stack.pop()
+        if kids[c]:
+            inner.append(c)
+            runs[c] = len(leaves)
+            stack += reversed(kids[c])
+        else:
+            runs[c] = slice(len(leaves), len(leaves) + 1)
+            leaves.append(c)
+    for c in reversed(inner):  # children before their parent
+        runs[c] = slice(runs[c], runs[kids[c][-1]].stop)
+    return np.array(leaves, dtype=np.intp), runs

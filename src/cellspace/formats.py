@@ -53,27 +53,22 @@ def space_to_obj(
     embedding: IntervalEmbedding | None = None,
     generator: dict | None = None,
 ) -> dict:
-    """The document of a tree as nested dicts, built bottom-up: cell ids run
-    in preorder, so each child's dict is built before its parent's."""
+    """The document of a tree as nested dicts, built bottom-up: the leaves
+    from `leaf_of`, then the internal cells, whose ids run in preorder, so
+    each child's dict is built before its parent's."""
     nodes: list = [None] * tree.n_cells
-    for c in reversed(tree.cells()):
-        if tree.is_leaf(c):
-            i = next(iter(tree.members[c]))
-            out: dict = {"point": tree.points[i]}
-            if embedding is not None:
-                left, right = embedding.intervals[i]
-                out["interval"] = [
-                    left.numerator,
-                    left.denominator,
-                    right.numerator,
-                    right.denominator,
-                ]
-            if measure is not None:
-                out["measure"] = frac_str(measure.values[i])
-        else:
-            out = {"children": [nodes[k] for k in tree.children[c]]}
-            if weights is not None:
-                out["weight"] = frac_str(weights[c])
+    for i, leaf in enumerate(tree.leaf_of):
+        out: dict = {"point": tree.points[i]}
+        if embedding is not None:
+            left, right = embedding.intervals[i]
+            out["interval"] = [left.numerator, left.denominator, right.numerator, right.denominator]
+        if measure is not None:
+            out["measure"] = frac_str(measure.values[i])
+        nodes[leaf] = out
+    for c in reversed(tree.internal_cells()):
+        out = {"children": [nodes[k] for k in tree.children[c]]}
+        if weights is not None:
+            out["weight"] = frac_str(weights[c])
         nodes[c] = out
 
     obj: dict = {"format": FORMAT_NAME, "root": nodes[tree.ROOT]}
@@ -161,8 +156,10 @@ def load_space(text_or_obj, strict: bool = True) -> LoadedSpace:
 
     Nothing here recurses, so only `json.loads` limits the nesting of a
     tree-form text: a deeper document is a FormatError.  A tree form costs
-    O(vertices + sum of cell sizes): `cells_of`, then one walk that pairs
-    each vertex with its cell, so weights and leaf payloads are keyed by cell.
+    O(vertices): `cells_of`, then one walk that pairs each vertex with its
+    cell, so weights and leaf payloads are keyed by cell.  A leaf's weight
+    is the one stated on the leaf itself (0 if none); a unary vertex above
+    a leaf shares its cell, so its weight must only agree with the leaf's.
     """
     obj = _document(text_or_obj)
     generator = obj.get("generator")
@@ -189,6 +186,10 @@ def load_space(text_or_obj, strict: bool = True) -> LoadedSpace:
     rooted = _parse_node(root_obj)
     tree = cells_of(rooted)
 
+    def indices(c: int) -> list[int]:  # the point indices of cell c, for messages
+        leaves, runs = tree.leaf_order
+        return sorted(leaves[runs[c]].tolist())
+
     order, stack = [], [(rooted, tree.ROOT)]
     while stack:  # vertex, then children right to left: reversed, a postorder
         node, c = stack.pop()
@@ -196,6 +197,7 @@ def load_space(text_or_obj, strict: bool = True) -> LoadedSpace:
         kids = node.children  # an only child shares the cell; others pair up in order
         stack.extend(zip(kids, tree.children[c] if len(kids) > 1 else (c,)))
     weight_at: dict[int, Fraction] = {}
+    leaf_weight: dict[int, Fraction] = {}  # stated on the leaf itself
     leaf_payload = []  # leaves left to right, so indexed by point
     for node, c in reversed(order):
         payload = node.payload  # type: ignore[attr-defined]
@@ -204,16 +206,17 @@ def load_space(text_or_obj, strict: bool = True) -> LoadedSpace:
         if "weight" in payload:
             w = parse_frac(payload["weight"])
             if weight_at.setdefault(c, w) != w:
-                raise FormatError(
-                    f"conflicting weights for collapsed cell {sorted(tree.members[c])}"
-                )
+                raise FormatError(f"conflicting weights for collapsed cell {indices(c)}")
+            if node.is_leaf():
+                leaf_weight[c] = w
 
     weights = None
     if weight_at:
         for c in tree.internal_cells():
             if c not in weight_at:
-                raise FormatError(f"internal cell {sorted(tree.members[c])} lacks a weight")
-        values = [weight_at[c] if tree.children[c] else Fraction(0) for c in tree.cells()]
+                raise FormatError(f"internal cell {indices(c)} lacks a weight")
+        values = [weight_at[c] if tree.children[c] else leaf_weight.get(c, Fraction(0))
+                  for c in tree.cells()]
         weights = WeightFn(tree, tuple(values))
 
     measures = []

@@ -17,7 +17,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .celltree import CellTree
+from .celltree import CellTree, _walk
 from .errors import (
     DepthMismatch,
     NotDecreasing,
@@ -350,7 +350,7 @@ def _tree_codes(tree: CellTree, heights: np.ndarray) -> tuple[np.ndarray, np.nda
     n = tree.n_points
     keys, code_of = np.unique(heights, return_inverse=True)
     code_of = code_of.astype(_code_dtype(len(keys)))
-    order, runs = _leaf_order(tree)
+    order, runs = tree.leaf_order
     codes = np.zeros((n, n), dtype=code_of.dtype)  # in leaf order; leaves weigh 0, the least key
     for c, run, after in _strips(tree.children, runs):
         codes[run, after] = codes[after, run] = code_of[c]
@@ -360,37 +360,14 @@ def _tree_codes(tree: CellTree, heights: np.ndarray) -> tuple[np.ndarray, np.nda
     return keys, codes
 
 
-def _walk(kids, root: int) -> tuple[np.ndarray, list]:
-    """The leaves below `root` in preorder of the child lists `kids`, and
-    the run of each cell below `root` in that order (None for the others)."""
-    leaves, walk, runs, stack = [], [], [None] * len(kids), [root]
-    while stack:
-        c = stack.pop()
-        walk.append(c)
-        runs[c] = len(leaves)
-        stack += reversed(kids[c])
-        if not kids[c]:
-            leaves.append(c)
-    for c in reversed(walk):  # children before their parent
-        runs[c] = slice(runs[c], runs[kids[c][-1]].stop if kids[c] else runs[c] + 1)
-    return np.array(leaves, dtype=np.intp), runs
-
-
-def _leaf_order(tree: CellTree) -> tuple[np.ndarray, list[slice]]:
-    """Points in the order of a preorder walk of the tree, and each cell's
-    run in that order.  Every cell is one contiguous run, so the block
-    between two sibling cells is a basic slice of a matrix permuted into
-    leaf order.  Cell ids are preorder, so the points go by leaf id."""
-    return np.argsort(tree.leaf_of), _walk(tree.children, tree.ROOT)[1]
-
-
 def _strips(kids, runs: list):
     """For each cell c with a run and each child of c but the last, the
     strip (c, the child's run, the rest of c's run after it).
 
-    In leaf order (`_walk`) the n - 1 strips tile the entries above the
-    diagonal, each entry in the strip of its minimal common cell: the
-    kernel of d(x, y) = w(minimal common cell) is w(c) on c's strips.
+    In leaf order (`CellTree.leaf_order`) the n - 1 strips tile the
+    entries above the diagonal, each entry in the strip of its minimal
+    common cell: the kernel of d(x, y) = w(minimal common cell) is w(c) on
+    c's strips.
     """
     for c, run in enumerate(runs):
         if run is not None:
@@ -461,12 +438,14 @@ def _cluster_tree(labels, weights: np.ndarray, ends: np.ndarray, mat=None) -> tu
     at the height of one of its clusters (never a point) joins that
     cluster's children instead, so every internal cell is strictly lower
     than its parent.  Given `mat`, None unless its strips hold the heights
-    (`_strips_hold`, on the child lists), so no point set is built for it.
+    (`_strips_hold`, on the leaf order of the child lists), checked before
+    the tree is built.  Each cluster's least point sorts the children.
     """
     n = len(labels)
     top = list(range(2 * n - 1))  # union-find: top[c] == c for a cluster not yet merged
     kids: list[list[int]] = [[] for _ in range(n)]
     height = [0] * n + weights.tolist()
+    least = list(range(n))
     for k, (i, j) in enumerate(ends.tolist()):
         below: list[int] = []
         for c in (i, j):
@@ -476,12 +455,11 @@ def _cluster_tree(labels, weights: np.ndarray, ends: np.ndarray, mat=None) -> tu
             top[c] = n + k
             below += kids[c] if c >= n and height[c] == height[n + k] else [c]
         kids.append(below)
-    order, runs = _walk(kids, len(kids) - 1)
+        least.append(min(least[c] for c in below))
     heights = np.array(height, dtype=weights.dtype)
-    if mat is not None and not _strips_hold(mat, kids, order, runs, heights):
+    if mat is not None and not _strips_hold(mat, kids, *_walk(kids, len(kids) - 1), heights):
         return None
-    sets = [None if run is None else frozenset(order[run].tolist()) for run in runs]
-    tree, ids = CellTree._from_children(labels, sets, kids, len(kids) - 1)
+    tree, ids = CellTree._from_children(labels, least, kids, len(kids) - 1)
     return tree, heights[ids]
 
 
@@ -549,7 +527,8 @@ class Geometry:
     def separation(self, c1: int, c2: int):
         """The least distance between two disjoint cells; on a table weight-built on `tree`
         (`_lca`), the height of their lowest common ancestor, with no kernel read."""
-        if self.tree.members[c1] & self.tree.members[c2]:
+        order, runs = self.tree.leaf_order
+        if runs[c1].start < runs[c2].stop and runs[c2].start < runs[c1].stop:
             raise OverlappingCells(f"cells {c1} and {c2} intersect")
         if self._hulls is not None:
             (l1, r1), (l2, r2) = self._hulls[c1], self._hulls[c2]
@@ -563,7 +542,7 @@ class Geometry:
             while c1 != c2:  # preorder ids: the larger is not an ancestor of the other
                 c1, c2 = (self.tree.parent[c1], c2) if c1 > c2 else (c1, self.tree.parent[c2])
             return self._diams[c1]
-        a, b = sorted(self.tree.members[c1]), sorted(self.tree.members[c2])
+        a, b = np.sort(order[runs[c1]]), np.sort(order[runs[c2]])
         # fmin skips NaN entries, as the diameters do
         return self.table._value(np.fmin.reduce(self.table.kernel[np.ix_(a, b)], axis=None))
 
@@ -578,26 +557,25 @@ class Geometry:
         """Hull diameters and gaps, and the point metric `interval_table`."""
         table = interval_table(tree, emb)
         hulls = [None] * tree.n_cells
-        for c in reversed(tree.cells()):  # preorder: children after their parent
+        for i, leaf in enumerate(tree.leaf_of):
+            hulls[leaf] = emb.intervals[i]
+        for c in reversed(tree.internal_cells()):  # preorder: children after their parent
             kids = tree.children[c]
-            if kids:
-                hulls[c] = (min(hulls[k][0] for k in kids), max(hulls[k][1] for k in kids))
-            else:
-                hulls[c] = emb.intervals[next(iter(tree.members[c]))]
+            hulls[c] = (min(hulls[k][0] for k in kids), max(hulls[k][1] for k in kids))
         diams = tuple(r - l for l, r in hulls)
         return cls(tree, table, "intervals", diams, tuple(hulls))
 
 
 def _diameter_keys(tree: CellTree, table: MetricTable) -> np.ndarray:
     """The kernel value of each cell's diameter: the largest entry of the
-    strips (`_strips`) of the cell and of the cells below it, in leaf
-    order (the heights of a table weight-built on `tree`).  Strip
-    maxima are `np.fmax`, so NaN entries are skipped."""
+    strips (`_strips`) of the cell and of the cells below it, on the runs of
+    `tree.leaf_order` (the heights of a table weight-built on `tree`).
+    Strip maxima are `np.fmax`, so NaN entries are skipped."""
     if tuple(table.labels) != tuple(tree.points):
         raise PointSetMismatch("table labels differ from tree points")
     if (heights := table._heights_on(tree)) is not None:
         return heights
-    order, runs = _leaf_order(tree)
+    order, runs = tree.leaf_order
     mat = table.kernel[np.ix_(order, order)]
     keys = np.zeros(tree.n_cells, dtype=mat.dtype)
     for c, run, after in _strips(tree.children, runs):
@@ -763,7 +741,7 @@ def balls_equal_cells(tree: CellTree, m: MetricTable) -> BallCellVerdict:
     (b) for every center and every critical radius, the closed ball is a
         cell.  A center's ball changes only at its `change_radii`, so (b)
         reads each ball there, at its size from the row search `count`.
-        Cells are runs of `_leaf_order`, and a ball (a prefix of
+        Cells are runs of `CellTree.leaf_order`, and a ball (a prefix of
         ``orders[x]``) is a cell when the span from the least to the
         greatest leaf position in it is a cell's run of the ball's size.
 
@@ -781,7 +759,7 @@ def balls_equal_cells(tree: CellTree, m: MetricTable) -> BallCellVerdict:
         return BallCellVerdict(True, (), ())
     diams = _diameter_keys(tree, m)
     scanner = m.ball_scanner
-    order, runs = _leaf_order(tree)
+    order, runs = tree.leaf_order
     cell_failures = []
     for c, bound in enumerate(np.searchsorted(scanner.keys, diams, side="right").tolist()):
         pts = np.sort(order[runs[c]])

@@ -386,7 +386,6 @@ def test_synthesize_rejects_unary_import():
         points=("a",),
         parent=(None, 0),
         children=((1,), ()),
-        members=(frozenset({0}), frozenset({0})),
         depth=(0, 1),
         leaf_of=(1,),
     )

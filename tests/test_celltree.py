@@ -63,12 +63,31 @@ def _break(tree: CellTree, how: str) -> CellTree:
         parent = list(tree.parent)
         parent[root_kids[0]] = root_kids[1]
         return replace(tree, parent=tuple(parent))
+    if how == "internal point":  # point 0 on its parent cell, whose leaf is left empty
+        return replace(tree, leaf_of=(root_kids[0],) + tree.leaf_of[1:])
+    if how == "point off the tree":
+        return replace(tree, leaf_of=(tree.n_cells,) + tree.leaf_of[1:])
+    if how == "two points on a leaf":
+        return replace(tree, leaf_of=tree.leaf_of[:1] * 2 + tree.leaf_of[2:])
+    if how == "leaf without a point":  # the last point dropped, its leaf kept
+        return replace(tree, points=tree.points[:-1], leaf_of=tree.leaf_of[:-1])
+    if how == "point without a leaf":
+        return replace(tree, leaf_of=tree.leaf_of[:-1])
     raise AssertionError(how)
 
 
 @pytest.mark.parametrize(
     "how, message",
-    [("unary", "unary"), ("order", "out of order"), ("parent", "another parent")],
+    [
+        ("unary", "unary"),
+        ("order", "out of order"),
+        ("parent", "another parent"),
+        ("internal point", "point 0 is on 1, which is not a leaf"),
+        ("point off the tree", "point 0 is on 7, which is not a leaf"),
+        ("two points on a leaf", "leaf 2 with several points"),
+        ("leaf without a point", "leaf 6 holds no point"),
+        ("point without a leaf", "3 leaves listed for 4 points"),
+    ],
 )
 def test_check_invariants_raises_on_broken_tree(how, message):
     # built directly, bypassing validation; the check must raise even under -O
@@ -85,7 +104,6 @@ def _miswire(how: str) -> CellTree:
         t = product_space(ProductSpec((3,)))
         return replace(
             t,
-            members=t.members + (frozenset({0}),),
             parent=t.parent + (0,),
             children=t.children + ((),),
             depth=t.depth + (1,),

@@ -11,18 +11,39 @@ verdicts, exception types and accepted trees field by field.
 
 `cells_of` reads the canonical tree straight off its rooted tree in one
 preorder walk.  Its reference, `ref_cells_of`, is the set-based build it
-replaced: the leaf-label set below every vertex, then `_from_member_sets`.
+replaced: the leaf-label set below every vertex, then the nearest-superset
+search.
+
+A CellTree stores no point sets: a cell's points are its run of
+`leaf_order`, and `members` is built from the runs.  The reference trees
+keep the sets they were built from as their `members`, and every tree
+comparison checks both the runs and `members` against them: on tree-form
+input, on families whose point order is not the leaf order, on induced
+substructures, and on the cluster trees that single linkage finds on
+ultrametric tables with permuted labels.
 """
 
 import random
 from collections import Counter
 from dataclasses import fields
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellspace import CellTree, RootedTree, cells_of, random_laminar, validate_family
+from cellspace import (
+    CellTree,
+    MetricTable,
+    RootedTree,
+    cells_of,
+    metrics,
+    random_laminar,
+    synthesize_regular_weight,
+    ultrametric_from_weight,
+    validate_family,
+)
 from cellspace.errors import DuplicateLeafLabel, NotABase, Overlap
 
 
@@ -58,14 +79,15 @@ def ref_from_member_sets(points, sets) -> CellTree:
     for i, s in enumerate(order):
         if len(s) == 1 and not children[i]:
             leaf_of[next(iter(s))] = i
-    return CellTree(
+    tree = CellTree(
         points=points,
         parent=parent,
         children=children,
-        members=tuple(order),
         depth=tuple(depth),
         leaf_of=tuple(leaf_of),
     )
+    tree.__dict__["members"] = tuple(order)  # the reference keeps its own sets
+    return tree
 
 
 def ref_validate_family(points, subsets, strict=True) -> CellTree:
@@ -115,6 +137,10 @@ def _outcome(fn, *args, **kwargs):
 def _assert_same_tree(got: CellTree, want: CellTree):
     for f in fields(CellTree):
         assert getattr(got, f.name) == getattr(want, f.name), f.name
+    order, runs = got.leaf_order
+    assert sorted(order.tolist()) == list(range(got.n_points))
+    assert [frozenset(order[run].tolist()) for run in runs] == list(want.members)
+    assert got.members == want.members
 
 
 def _assert_true_overlap(e: Overlap, points, family):
@@ -150,6 +176,9 @@ def families(draw):
             cells.append(frozenset(rng.sample(range(n), rng.randint(1, n))))
     if draw(st.booleans()):
         rng.shuffle(cells)
+    if draw(st.booleans()):  # point order no longer the leaf order
+        perm = rng.sample(range(n), n)
+        cells = [frozenset(perm[i] for i in c) for c in cells]
     return tree.points, cells, draw(st.booleans())
 
 
@@ -189,6 +218,17 @@ def test_from_member_sets_matches_nearest_superset(seed, n, branch):
     } - {frozenset()}
     _assert_same_tree(sub, ref_from_member_sets(sub.points, fam))
     _assert_same_tree(cells_of(tree.tree_of()), tree)
+    # the same family with its points renumbered, and one of its restrictions
+    rng = random.Random(seed)
+    perm = rng.sample(range(n), n)
+    shuffled = [frozenset(perm[i] for i in m) for m in cells]
+    got = CellTree._from_member_sets(tree.points, shuffled)
+    _assert_same_tree(got, ref_from_member_sets(tree.points, shuffled))
+    keep = set(rng.sample(range(n), n // 2 + 1))
+    index = {i: k for k, i in enumerate(sorted(keep))}
+    fam = {frozenset(index[i] for i in m if i in keep) for m in shuffled} - {frozenset()}
+    sub = got.induced_substructure([tree.points[i] for i in keep])
+    _assert_same_tree(sub, ref_from_member_sets(sub.points, fam))
 
 
 @ORACLE
@@ -231,7 +271,7 @@ def ref_cells_of(tree: RootedTree) -> CellTree:
             cell[id(node)] = frozenset({idx[node.label]})
         else:
             cell[id(node)] = frozenset().union(*(cell[id(ch)] for ch in node.children))
-    return CellTree._from_member_sets(tuple(idx), cell.values())
+    return ref_from_member_sets(tuple(idx), cell.values())
 
 
 def random_rooted(rng: random.Random, n: int) -> RootedTree:
@@ -333,3 +373,37 @@ def test_cells_of_reports_the_first_bad_leaf_in_preorder():
         with pytest.raises(DuplicateLeafLabel) as ref_exc:
             ref_cells_of(root)
         assert ref_exc.value.label == label
+
+
+# -- the cluster trees of single linkage ----------------------------------------
+
+
+def ref_balls(kernel: np.ndarray) -> set:
+    """Every closed ball B(x, d(x, y)) of a table, as a set of point indices."""
+    return {frozenset(np.flatnonzero(row <= r).tolist()) for row in kernel for r in set(row.tolist())}
+
+
+def check_single_linkage(seed: int, n: int, branch: int) -> CellTree:
+    tree = random_laminar(seed, branch, 8, n)
+    table = ultrametric_from_weight(tree, synthesize_regular_weight(tree, Fraction(1, 3)))
+    perm = random.Random(seed).sample(range(n), n)
+    kernel = table.kernel[np.ix_(perm, perm)]
+    labels = tuple(tree.points[i] for i in perm)
+    got, _ = metrics._single_linkage(MetricTable.from_kernel(labels, kernel, table.den))
+    # the closed balls of an ultrametric built from strictly decreasing weights are its cells
+    _assert_same_tree(got, ref_from_member_sets(labels, ref_balls(kernel)))
+    return got
+
+
+@ORACLE
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 40), branch=st.integers(2, 5))
+def test_single_linkage_runs_are_the_balls_of_a_relabeled_ultrametric(seed, n, branch):
+    check_single_linkage(seed, n, branch)
+
+
+def test_relabeled_inputs_reach_leaf_orders_that_are_not_the_point_order():
+    got = check_single_linkage(7, 30, 3)
+    assert (got.leaf_order[0] != np.arange(30)).any()
+    family = validate_family(got.points, got.members)
+    assert (family.leaf_order[0] != np.arange(30)).any()
+    _assert_same_tree(family, ref_validate_family(got.points, got.members))

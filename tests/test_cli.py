@@ -730,3 +730,46 @@ def test_fuzzed_documents_and_arguments_keep_the_exit_code_contract(tmp_path_fac
             assert "witness=" in out or "undefined at small scales" in out, out
         elif out.startswith(tuple(f"FAIL: {check}" for check in METRIC_CHECKS)):
             assert ", witness " in out, out
+
+
+def test_no_command_builds_member_sets(tmp_path, capsys, monkeypatch):
+    # a cell's points are its run of the leaf order: with `CellTree.members`
+    # refusing, every command gives the same exit code, stdout and files
+    from cellspace import CellTree, formats, metrics, spaces
+
+    tree = spaces.product_space(spaces.ProductSpec((2, 2, 2)))
+    w = metrics.weight_from_sequence(tree, [F(1, 2**k) for k in range(4)])
+    (tmp_path / "weighted.json").write_text(formats.space_to_json(tree, weights=w))
+    shuffled = [[(5 * i + 3) % 8 for i in m] for m in tree.members]  # not in leaf order
+    family = {"format": "cellspace-v1", "points": list(tree.points), "cells": shuffled[::-1]}
+    (tmp_path / "family.json").write_text(json.dumps(family))
+    commands = [
+        ["generate", "product", "--sizes", "3,3", "--out", "{out}/p.json"],
+        ["generate", "random", "--seed", "3", "--points", "40", "--out", "{out}/r.json"],
+        ["generate", "cantor", "--depth", "4", "--out", "{out}/c.json"],
+        ["generate", "product", "--sizes", "2", "--out", "{out}/b.json"],
+        ["validate", "{out}/r.json"],
+        ["validate", "{in}/family.json"],
+        ["validate", "{in}/weighted.json"],
+        ["validate", "{out}/c.json"],
+        ["analyze", "{out}/p.json", "--metric", "geo:1/2", "--format", "json"],
+        ["analyze", "{out}/r.json"],
+        ["analyze", "{out}/c.json", "--format", "json"],
+        ["distortion", "{out}/b.json", "geo:1/2", "geo:1/3", "--depths", "3,5", "--out", "{out}/dist"],
+    ]
+
+    def run_all(tag: str) -> list:
+        out = tmp_path / tag
+        out.mkdir()
+        results = [_run(capsys, *(a.format(out=out, **{"in": tmp_path}) for a in argv)) for argv in commands]
+        files = {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        return [(code, stdout.replace(str(out), "OUT")) for code, stdout, _ in results], files
+
+    plain = run_all("plain")
+    assert [code for code, _ in plain[0]] == [0] * len(commands)
+
+    def refuse(self):
+        raise AssertionError("a command built member sets")
+
+    monkeypatch.setattr(CellTree, "members", property(refuse))
+    assert run_all("runs") == plain

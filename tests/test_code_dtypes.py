@@ -252,7 +252,7 @@ def test_certificates_match_intp_codes(n_keys, kind):
     # `_strips_hold`, the strip certificate of `_cluster_tree`
     tree, table = tree_case(n_keys, kind)
     heights = table._built[1]
-    order, runs = metrics._leaf_order(tree)
+    order, runs = tree.leaf_order
     for t in (table, widened(table)):
         keys, codes = t.kernel_codes()
         want = np.searchsorted(keys, heights)

@@ -19,7 +19,7 @@ kernels, and trees relabeled so that leaf order is not point order.
 
 `WeightFn` is then the only guard, so each of its rejections is checked
 directly, and through `validate` on every weighted file that can express
-it.  On the CLI, `validate` and `analyze` never write codes, and
+it, a weight stated on a leaf among them.  On the CLI, `validate` and `analyze` never write codes, and
 `distortion` writes them and answers as tables built from rows do.
 """
 
@@ -241,28 +241,42 @@ def test_weightfn_rejects(values, error, message):
     assert type(info.value) is error and str(info.value) == message
 
 
-@pytest.mark.parametrize(
-    ("root", "child", "message"),
-    [
-        ("0", "1/2", "internal cell 0 must have positive weight"),
-        ("1", "0", "internal cell 1 must have positive weight"),
-        ("1", "-1/2", "internal cell 1 must have positive weight"),
-        ("1", "1", "weight does not strictly decrease on edge 0 -> 1"),
-        ("1", "2", "weight does not strictly decrease on edge 0 -> 1"),
-    ],
-    ids=["root-0", "child-0", "child-below-0", "child-equal", "child-greater"],
-)
-def test_validate_fails_on_weights_that_weightfn_rejects(tmp_path, capsys, root, child, message):
-    # leaf weights and the weight count are not expressible in a file: the
-    # loader gives every leaf weight 0 and every internal cell one weight
+def validate_weighted(tmp_path, root: str, child: str, leaf: str | None = None) -> int:
+    """`validate` on the weighted product 2x2 with the weights of the root, of
+    its first child and (if given) of the leaf "00" (cell 2) replaced."""
     from cellspace.cli import main
 
     doc = json.loads(space_to_json(TREE, weights=weight_from_sequence(TREE, [1, F(1, 2), F(1, 4)])))
     doc["root"]["weight"], doc["root"]["children"][0]["weight"] = root, child
+    if leaf is not None:
+        doc["root"]["children"][0]["children"][0]["weight"] = leaf
     weighted = tmp_path / "w.json"
     weighted.write_text(json.dumps(doc))
-    assert main(["validate", str(weighted)]) == 1
+    return main(["validate", str(weighted)])
+
+
+@pytest.mark.parametrize(
+    ("root", "child", "leaf", "message"),
+    [
+        ("0", "1/2", None, "internal cell 0 must have positive weight"),
+        ("1", "0", None, "internal cell 1 must have positive weight"),
+        ("1", "-1/2", None, "internal cell 1 must have positive weight"),
+        ("1", "1", None, "weight does not strictly decrease on edge 0 -> 1"),
+        ("1", "2", None, "weight does not strictly decrease on edge 0 -> 1"),
+        ("1", "1/2", "1/3", "leaf cell 2 must have weight 0, got 1/3"),
+    ],
+    ids=["root-0", "child-0", "child-below-0", "child-equal", "child-greater", "leaf-1/3"],
+)
+def test_validate_fails_on_weights_that_weightfn_rejects(tmp_path, capsys, root, child, leaf, message):
+    # the weight count is not expressible in a file: the loader gives every
+    # internal cell one weight, and a leaf the weight stated on it, or 0
+    assert validate_weighted(tmp_path, root, child, leaf) == 1
     assert capsys.readouterr() == (f"FAIL: {message}\n", "")
+
+
+def test_validate_accepts_a_leaf_weight_of_0(tmp_path, capsys):
+    assert validate_weighted(tmp_path, "1", "1/2", "0") == 0
+    assert capsys.readouterr() == ("OK: points=4 cells=7 checks=structure,weights,ultrametric,balls=cells\n", "")
 
 
 def test_declined_single_linkage_builds_no_member_sets(monkeypatch):
