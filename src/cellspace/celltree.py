@@ -283,20 +283,22 @@ class CellTree:
         """Re-check the CellTree invariants; raises BrokenCellTree on the
         first failure.  O(cells): no point set is built.
 
-        One stack walk from the root must reach every cell exactly once,
-        each child naming its parent and no internal cell having one child,
-        which rules out orphan cells, cells under two parents and cycles.
-        ``leaf_of`` must map the points one-to-one onto the leaves of that
-        tree.  A cell holds the points of the leaves below it, so the root
-        holds every point and children partition their parent: the family is
-        laminar.  Last, from the leaves up, a cell's least point is its
-        first child's, and the children must be in order of least point.
+        One stack walk from the root, taking children in listed order, must
+        reach every cell exactly once, each child naming its parent and no
+        internal cell having one child, which rules out orphan cells, cells
+        under two parents and cycles.  ``leaf_of`` must map the points
+        one-to-one onto the leaves of that tree.  A cell holds the points of
+        the leaves below it, so the root holds every point and children
+        partition their parent: the family is laminar.  From the leaves up, a
+        cell's least point is its first child's, and the children must be in
+        order of least point.  Last, the walk must visit the ids 0..m-1 in
+        turn: `leaf_order` and the readers of runs take the ids in preorder.
         """
         m = self.n_cells
         if not m:
             raise BrokenCellTree("no cells")
-        reached = [False] * m
-        reached[self.ROOT] = True
+        via: list = [None] * m  # the cell that lists each cell as a child
+        via[self.ROOT] = self.ROOT  # reached: a cell listing the root closes a cycle
         walk, stack = [], [self.ROOT]
         while stack:
             c = stack.pop()
@@ -307,15 +309,16 @@ class CellTree:
             for k in kids:
                 if not 0 <= k < m:
                     raise BrokenCellTree(f"child {k} of {c} is not a cell")
-                if reached[k]:
+                if via[k] is not None:
                     raise BrokenCellTree(f"cell {k} is reached twice from the root")
-                reached[k] = True
-                if self.parent[k] != c:
-                    raise BrokenCellTree(f"child {k} of {c} has another parent")
-            stack.extend(kids)
-        if not all(reached):
-            orphan = reached.index(False)
-            raise BrokenCellTree(f"cell {orphan} is not reachable from the root")
+                via[k] = c
+            stack += kids[::-1]  # popped in listed order
+        if None in via:
+            raise BrokenCellTree(f"cell {via.index(None)} is not reachable from the root")
+        via[self.ROOT] = None
+        if via != list(self.parent):
+            k = next(k for k, (a, b) in enumerate(zip(via, self.parent)) if a != b)
+            raise BrokenCellTree(f"child {k} of {via[k]} has another parent")
         if len(self.leaf_of) != self.n_points:
             raise BrokenCellTree(f"{len(self.leaf_of)} leaves listed for {self.n_points} points")
         least: list = [None] * m  # the least point of each cell
@@ -333,6 +336,8 @@ class CellTree:
                 least[c] = mins[0]
             elif least[c] is None:
                 raise BrokenCellTree(f"leaf {c} holds no point")
+        if walk != list(range(m)):
+            raise BrokenCellTree(f"cell {next(c for i, c in enumerate(walk) if c != i)} is out of preorder")
 
     def shape_signature(self):
         """Label-free canonical form; equal signatures = isomorphic trees.

@@ -28,6 +28,7 @@ FULL_ENUMERATION_CAP = 512
 _N_BINS = 24
 _STRATUM_CENTERS = 2
 _SEEDED_EXTRAS = 1
+_BLOCK = 2**17  # entries per block of sampled rows (one byte each, and as many in each class mask)
 
 
 @dataclass(eq=False)
@@ -304,11 +305,13 @@ def _exact_triples(d: MetricTable, dt: MetricTable) -> tuple[np.ndarray, np.ndar
 def _value_bins(floats: list, codes: np.ndarray) -> np.ndarray:
     """Class id of each value code: identity on the distinct off-diagonal
     floats when there are few, geometric binning otherwise.  Values found
-    only on the diagonal get class -1."""
-    blocks = np.array_split(codes, codes.size // 2**16 + 1)  # of rows: bincount casts to intp
-    seen = sum(np.bincount(b.ravel(), minlength=len(floats)) for b in blocks)
-    seen -= np.bincount(np.diagonal(codes), minlength=len(floats))
-    used = np.flatnonzero(seen).tolist()
+    only on the diagonal get class -1; as every code is an entry of the
+    table, only the diagonal's codes are counted (one at a time: a metric's
+    diagonal is one code), in blocks of rows."""
+    diag, on_diag = np.unique(np.diagonal(codes), return_counts=True)
+    blocks = np.array_split(codes, codes.size // 2**16 + 1)
+    only = [k for k, m in zip(diag.tolist(), on_diag.tolist()) if sum(np.count_nonzero(b == k) for b in blocks) == m]
+    used = np.setdiff1d(np.arange(len(floats)), only).tolist()
     vals = sorted({floats[c] for c in used})
     bins = [-1] * len(floats)
     if len(vals) <= 64:
@@ -322,10 +325,18 @@ def _value_bins(floats: list, codes: np.ndarray) -> np.ndarray:
         for c in used:
             k = int((math.log(floats[c]) - lo) / span * _N_BINS)
             bins[c] = min(max(k, 0), _N_BINS - 1)
-    return np.array(bins, dtype=np.intp)
+    return np.array(bins, dtype=np.int8)  # at most 64 classes
 
 
 def _sampled_triples(d: MetricTable, dt: MetricTable, seed: int) -> tuple[np.ndarray, None]:
+    """Triples sampled by stratum (a pair of classes, `_value_bins`) in two
+    passes over the points in a seeded order, classing the y of a row x by
+    d(x, y), then by dt(x, y).  The draws fix the output bytes: they are
+    _SEEDED_EXTRAS `randrange(class size)` per class, rows in the seeded
+    order, a row's classes by lowest y.  Pass 0 draws in every row; pass 1
+    stops after the row that fills its last stratum.  Rows go in blocks of
+    at most _BLOCK entries (pass 1 from 8 rows, doubling), and only a row
+    with a stratum left to take is read alone."""
     n = d.n
     rng = random.Random(seed)
     d_values, dc = d.value_codes()
@@ -337,41 +348,55 @@ def _sampled_triples(d: MetricTable, dt: MetricTable, seed: int) -> tuple[np.nda
     d_floats = np.array([float(v) for v in d_values])
     t_floats = np.array([float(v) for v in t_values])
     passes = ((dc, d_floats, tc, t_floats), (tc, t_floats, dc, d_floats))
+    most = max(_BLOCK // n, 1)  # rows in a block
     for which, (bin_codes, b_floats, other_codes, o_floats) in enumerate(passes):
         bins = _value_bins(b_floats.tolist(), bin_codes)
         quota = np.zeros((int(bins.max()) + 1,) * 2, dtype=np.intp)
         classes = np.unique(bins[bins >= 0])
-        every_stratum = (classes[:, None], classes)
-        last = np.iinfo(np.intp).max
-        for x in order:
-            row_bins = bins[bin_codes[x]]
-            row_bins[x] = last  # sorts last, then dropped
-            perm = np.argsort(row_bins, kind="stable")[:-1]  # by class, then y
-            sorted_bins = row_bins[perm]
-            starts = np.flatnonzero(np.concatenate(([True], sorted_bins[1:] != sorted_bins[:-1])))
-            sizes = (np.append(starts[1:], n - 1) - starts).tolist()
-            # one seeded draw per class, classes in order of their lowest y
-            seeded = [None] * len(starts)
-            for g in np.argsort(perm[starts]).tolist():
-                seeded[g] = [rng.randrange(sizes[g]) for _ in range(_SEEDED_EXTRAS)]
-            ids = sorted_bins[starts]
-            stratum = (ids[:, None], ids)
-            todo = quota[stratum] < _STRATUM_CENTERS
-            if not todo.any():
-                continue
-            quota[stratum] += todo
-            b_row, o_row = b_floats[bin_codes[x]], o_floats[other_codes[x]]
-            cands = []
-            for start, size, draws in zip(starts.tolist(), sizes, seeded):
-                ys = perm[start : start + size]  # increasing, so ties go to the lowest y
-                b, o = b_row[ys], o_row[ys]
-                # extremes in either metric, so rare extreme ratios are seen
-                chosen = {b.argmin(), b.argmax(), o.argmin(), o.argmax(), *draws}
-                cands.append(sorted(int(ys[k]) for k in chosen))
-            for g1, g2 in zip(*np.nonzero(todo)):
-                triples += [(x, y, z) for y in cands[g1] for z in cands[g2]]
-            if which == len(passes) - 1 and (quota[every_stratum] >= _STRATUM_CENTERS).all():
-                break  # every stratum is full: the draws left change nothing
+        every_stratum = np.ix_(classes, classes)
+        start, rows, full = 0, most if which == 0 else min(8, most), False
+        while start < n and not full:
+            xs = order[start : start + rows]
+            start, rows = start + rows, min(2 * rows, most)
+            block = bins[bin_codes[xs]]  # not np.take, which casts the whole block to intp
+            block[range(len(xs)), xs] = -1  # y = x is in no class
+            sizes, lowest = np.empty((2, len(xs), len(classes)), np.intp)
+            for j, c in enumerate(classes.tolist()):
+                m = block == c
+                sizes[:, j], lowest[:, j] = m.sum(axis=1, dtype=np.min_scalar_type(n)), m.argmax(axis=1)
+            lowest[sizes == 0] = n  # absent classes sort last
+            by_y = np.argsort(lowest, axis=1, kind="stable")  # each row's classes in draw order
+            drawn = np.take_along_axis(sizes, by_y, 1)
+            draws = [rng.randrange(k) for k in drawn[drawn > 0].tolist() for _ in range(_SEEDED_EXTRAS)]
+            has = sizes > 0
+            ends = (np.cumsum(has.sum(axis=1)) * _SEEDED_EXTRAS).tolist()  # of each row's draws
+            i = 0
+            while not full:
+                # the next row with a pair of classes whose stratum is still open
+                hit = ((has[i:] @ (quota[every_stratum] < _STRATUM_CENTERS)) & has[i:]).any(axis=1)
+                if not hit.any():
+                    break
+                i += int(hit.argmax())
+                x, cols = xs[i], np.flatnonzero(has[i])
+                ids = classes[cols]
+                stratum = (ids[:, None], ids)
+                todo = quota[stratum] < _STRATUM_CENTERS
+                quota[stratum] += todo
+                mine = iter(draws[ends[i] - len(cols) * _SEEDED_EXTRAS : ends[i]])
+                seeded = dict(zip(by_y[i].tolist(), zip(*[mine] * _SEEDED_EXTRAS)))
+                b_row, o_row = b_floats[bin_codes[x]], o_floats[other_codes[x]]
+                cands = []
+                for j, c in zip(cols.tolist(), ids.tolist()):
+                    ys = np.flatnonzero(block[i] == c)  # increasing, so ties go to the lowest y
+                    b, o = b_row[ys], o_row[ys]
+                    # extremes in either metric, so rare extreme ratios are seen
+                    chosen = {b.argmin(), b.argmax(), o.argmin(), o.argmax(), *seeded[j]}
+                    cands.append(sorted(int(ys[k]) for k in chosen))
+                for g1, g2 in zip(*np.nonzero(todo)):
+                    triples += [(x, y, z) for y in cands[g1] for z in cands[g2]]
+                # pass 1 ends once every stratum is full: the draws left change nothing
+                full = which == len(passes) - 1 and (quota[every_stratum] >= _STRATUM_CENTERS).all()
+                i += 1
     return np.array(triples, np.int32).T, None
 
 

@@ -129,6 +129,28 @@ def test_check_invariants_walk_reaches_every_cell_once(how, message):
         _miswire(how).check_invariants()
 
 
+def test_check_invariants_requires_preorder_ids():
+    # the 2x2 product with cells 1 <-> 4, 2 <-> 5, 3 <-> 6 renumbered
+    # consistently: parents, children, depths and leaves all agree, and the
+    # root's children (4, 1) are in order of least point, but the ids are not
+    # the preorder that `leaf_order` reads, so its runs would give cell 4 the
+    # points 2 and 3 where it holds 0 and 1
+    t = product_space(ProductSpec((2, 2)))
+    new = (0, 4, 5, 6, 1, 2, 3)
+    old = sorted(range(7), key=new.__getitem__)
+    renumbered = replace(
+        t,
+        parent=tuple(None if t.parent[c] is None else new[t.parent[c]] for c in old),
+        children=tuple(tuple(new[k] for k in t.children[c]) for c in old),
+        depth=tuple(t.depth[c] for c in old),
+        leaf_of=tuple(new[c] for c in t.leaf_of),
+    )
+    assert renumbered.children[0] == (4, 1) and renumbered.leaf_of == (5, 6, 2, 3)
+    with pytest.raises(BrokenCellTree, match="cell 4 is out of preorder"):
+        renumbered.check_invariants()
+    t.check_invariants()
+
+
 def test_validate_family_overlap_witness():
     with pytest.raises(Overlap) as exc:
         validate_family(["1", "2", "3"], [{0, 1, 2}, {0, 1}, {1, 2}, {0}, {1}, {2}])
