@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iproduct
-from math import lcm
+from math import gcd
 
 import numpy as np
 
@@ -21,43 +22,65 @@ from .errors import (
     IsolatedPoint,
     NotDecreasing,
     NotProbability,
+    OverlappingCells,
     PointSetMismatch,
     ZeroDiameterInternalCell,
 )
-from .metrics import Geometry, MetricTable, WeightFn, _int_dtype, _search_rows, critical_radii
+from .metrics import (
+    Geometry,
+    MetricTable,
+    WeightFn,
+    _int_dtype,
+    _over_den,
+    _search_rows,
+    _strips,
+    critical_radii,
+)
 from .spaces import ProductSpec
 
 EXACT_COVER_CAP = 20  # balls with more candidate centers fall back to greedy
 
 
-@dataclass(frozen=True)
 class MeasureAtoms:
-    """Strictly positive point masses; cell mass is the sum over its points."""
+    """Strictly positive point masses; cell mass is the sum over its points.
 
-    labels: tuple[str, ...]
-    values: tuple[Fraction, ...]
+    The atoms are one integer column over their least common denominator
+    (``column[i] / den`` is the mass of point i), in `_int_dtype` of their
+    total, so every sum of atoms fits; ``values`` builds Fractions on read.
+    """
 
-    def __post_init__(self):
-        if len(self.labels) != len(self.values):
+    def __init__(self, labels, values, den: int | None = None):
+        """One rational atom per label; with `den`, the integers over it."""
+        if len(labels) != len(values):
             raise ValueError("one atom per point required")
-        for v in self.values:
-            if v <= 0:
+        ints, self.den = (values, den) if den else _over_den(values)
+        for v, k in zip(values, ints):
+            if k <= 0:
                 raise ValueError(f"atom {v} is not strictly positive")
+        self.labels, self.column = labels, np.array(ints, dtype=_int_dtype(sum(ints)))
 
     @classmethod
     def uniform(cls, tree: CellTree) -> "MeasureAtoms":
-        n = tree.n_points
-        return cls(tree.points, tuple(Fraction(1, n) for _ in range(n)))
+        return cls(tree.points, [1] * tree.n_points, tree.n_points)
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(k, self.den) for k in self.column.tolist())
 
     def total(self) -> Fraction:
-        return sum(self.values, Fraction(0))
+        return Fraction(int(self.column.sum()), self.den)
 
     def normalized(self) -> "MeasureAtoms":
-        t = self.total()
-        return MeasureAtoms(self.labels, tuple(v / t for v in self.values))
+        ints = self.column.tolist()
+        g = gcd(sum(ints), *ints)  # the atoms over their total, in lowest terms
+        return MeasureAtoms(self.labels, [k // g for k in ints], sum(ints) // g)
 
     def mass(self, indices) -> Fraction:
-        return sum((self.values[i] for i in indices), Fraction(0))
+        return Fraction(sum(self.column[list(indices)].tolist()), self.den)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, MeasureAtoms) and (tuple(self.labels), self.den) == (
+            tuple(other.labels), other.den) and np.array_equal(self.column, other.column)
 
 
 def _check_alignment(tree: CellTree, mu: MeasureAtoms) -> None:
@@ -68,7 +91,7 @@ def _check_alignment(tree: CellTree, mu: MeasureAtoms) -> None:
 def cell_doubling_constant(tree: CellTree) -> int:
     """Largest number of maximal proper sub-cells of any cell; 0 for a
     one-point space."""
-    return max((len(tree.children[c]) for c in tree.cells()), default=0)
+    return max(map(len, tree.children), default=0)
 
 
 def measure_cell_doubling(tree: CellTree, mu: MeasureAtoms) -> Fraction:
@@ -77,21 +100,19 @@ def measure_cell_doubling(tree: CellTree, mu: MeasureAtoms) -> Fraction:
     one-point space."""
     _check_alignment(tree, mu)
     mass = _cell_masses(tree, mu)
-    return _max_ratio(mass[list(tree.parent[1:])], mass[1:])
+    parent, child = tree.edges
+    return _max_ratio(mass[parent], mass[child])
 
 
 def _cell_masses(tree: CellTree, mu: MeasureAtoms) -> np.ndarray:
-    """The mass of each cell as an integer over the atoms' common
-    denominator (int64 when the total fits, else Python ints), summed from
-    the leaves up the tree."""
-    common = lcm(*{v.denominator for v in mu.values})
-    scaled = [v.numerator * (common // v.denominator) for v in mu.values]
+    """The mass of each cell as an integer over the atoms' denominator, in
+    the dtype of their column, summed from the leaves up the tree."""
     mass = [0] * tree.n_cells
-    for p, leaf in enumerate(tree.leaf_of):
-        mass[leaf] = scaled[p]
+    for leaf, k in zip(tree.leaf_of, mu.column.tolist()):
+        mass[leaf] = k
     for c in range(tree.n_cells - 1, 0, -1):  # preorder: children after their parent
         mass[tree.parent[c]] += mass[c]
-    return np.array(mass, dtype=_int_dtype(sum(scaled)))
+    return np.array(mass, dtype=mu.column.dtype)
 
 
 def product_measure(spec: ProductSpec, level_weights) -> MeasureAtoms:
@@ -164,39 +185,62 @@ class RegularityReport:
 
 
 def metric_regularity(tree: CellTree, g: Geometry) -> RegularityReport:
-    """Exact regularity constants of a geometry over the cell tree."""
+    """Exact regularity constants of a geometry over the cell tree, from its
+    diameter column on the `tree.edges` and the `_sibling_separations`; on a
+    table weight-built on the tree (`_lca`) a sibling separation is the
+    parent's diameter, so no pair is listed.  Each witness is the first edge
+    (c, ch) or pair (c, i, j) in scan order to attain it (`_first_extreme`).
+    """
     if g.tree is not tree and g.tree != tree:
         raise PointSetMismatch("geometry belongs to a different tree")
-    for c in tree.internal_cells():
-        if not g.diam(c) > 0:
-            raise ZeroDiameterInternalCell(f"internal cell {c} has zero diameter")
-    alpha = beta = gamma = aux = None
-    alpha_w = beta_w = gamma_w = None
-    for c in tree.cells():
-        kids = tree.children[c]
-        if not kids:
-            continue
-        dc = g.diam(c)
-        for ch in kids:
-            dch = g.diam(ch)
-            if dch > 0:
-                ratio = dch / dc
-                if alpha is None or ratio < alpha:
-                    alpha, alpha_w = ratio, (c, ch)
-                if beta is None or ratio > beta:
-                    beta, beta_w = ratio, (c, ch)
-        for i in range(len(kids)):
-            for j in range(i + 1, len(kids)):
-                sep = g.separation(kids[i], kids[j])
-                ratio = sep / dc
-                if gamma is None or ratio < gamma:
-                    gamma, gamma_w = ratio, (c, kids[i], kids[j])
-                md = max(g.diam(kids[i]), g.diam(kids[j]))
-                if md > 0:
-                    r2 = sep / md
-                    if aux is None or r2 < aux:
-                        aux = r2
-    return RegularityReport(alpha, beta, gamma, alpha_w, beta_w, gamma_w, aux)
+    diam, (parent, child) = np.asarray(g._diams), tree.edges
+    first = np.flatnonzero(np.diff(parent, prepend=-1))  # each internal cell's first edge
+    inner = parent[first]
+    if (flat := ~(diam[inner] > 0)).any():
+        raise ZeroDiameterInternalCell(f"internal cell {inner[flat.argmax()]} has zero diameter")
+    e = np.flatnonzero(diam[child] > 0)
+    (a, alpha), (b, beta) = (_first_extreme(diam[child[e]], diam[parent[e]], least) for least in (True, False))
+    edge = {k: None if k is None else (int(parent[e[k]]), int(child[e[k]])) for k in (a, b)}
+    gamma = aux = gamma_w = None
+    if g._lca and len(inner):
+        gamma, gamma_w = Fraction(1), (int(inner[0]), *tree.children[inner[0]][:2])
+        widest = np.maximum.reduceat(diam[child], first)
+        aux = _first_extreme(diam[inner[widest > 0]], widest[widest > 0], True)[1]
+    elif len(inner):
+        c, i, j, sep = _sibling_separations(tree, g)
+        k, gamma = _first_extreme(sep, diam[c], True)
+        gamma_w = (int(c[k]), int(i[k]), int(j[k]))
+        widest = np.maximum(diam[i], diam[j])
+        aux = _first_extreme(sep[widest > 0], widest[widest > 0], True)[1]
+    return RegularityReport(alpha, beta, gamma, edge[a], edge[b], gamma_w, aux)
+
+
+def _sibling_separations(tree: CellTree, g: Geometry) -> tuple[np.ndarray, ...]:
+    """Arrays (c, i, j, sep) over the pairs of siblings i before j of each
+    cell c, in scan order: the gap of their hulls on interval geometry, else
+    the least table entry from i to j (NaN skipped, as `Geometry.separation`
+    does), in one pass over the strips (`_strips`), each reduced over its
+    rows and then over the runs of the later siblings."""
+    parent, child = tree.edges
+    group_end = np.searchsorted(parent, parent, side="right")
+    later = group_end - np.arange(len(child)) - 1  # the siblings after each child
+    a = np.repeat(np.arange(len(child)), later)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(later) - later, later)
+    c, i, j = parent[a], child[a], child[b]
+    if g._hulls is not None:
+        (l1, r1), (l2, r2) = g._hulls[i].T, g._hulls[j].T
+        sep = np.where(l1 <= l2, l2 - r1, l1 - r2)
+        if (bad := sep < 0).any():
+            k = bad.argmax()
+            raise OverlappingCells(f"cells {i[k]} and {j[k]} are disjoint but their hulls overlap")
+        return c, i, j, sep
+    order, runs = tree.leaf_order
+    mat = g.table.kernel[np.ix_(order, order)]
+    seps = []
+    for cell, run, after in _strips(tree.children, runs):
+        starts = [runs[k].start - after.start for k in tree.children[cell] if runs[k].start >= after.start]
+        seps.append(np.fmin.reduceat(np.fmin.reduce(mat[run, after], axis=0), starts))
+    return c, i, j, np.concatenate(seps)
 
 
 def synthesize_regular_weight(tree: CellTree, beta) -> WeightFn:
@@ -209,14 +253,12 @@ def synthesize_regular_weight(tree: CellTree, beta) -> WeightFn:
     beta = Fraction(beta)
     if not 0 < beta < 1:
         raise ValueError(f"ratio must lie in (0, 1), got {beta}")
-    for c in tree.internal_cells():
-        if len(tree.children[c]) < 2:
-            raise IsolatedPoint(f"internal cell {c} has a single child")
-    values = tuple(
-        Fraction(0) if tree.is_leaf(c) else beta ** tree.depth[c]
-        for c in tree.cells()
-    )
-    return WeightFn(tree, values)
+    kids = np.bincount(tree.edges[0], minlength=tree.n_cells)
+    if (kids == 1).any():
+        raise IsolatedPoint(f"internal cell {(kids == 1).argmax()} has a single child")
+    leaf, depth = kids == 0, np.array(tree.depth)
+    levels = [beta**d for d in range(depth[~leaf].max(initial=-1) + 1)]
+    return WeightFn(tree, levels + [Fraction(0)], np.where(leaf, len(levels), depth))
 
 
 # -- metric doubling ---------------------------------------------------------
@@ -453,19 +495,31 @@ def measure_metric_doubling(g: Geometry, mu: MeasureAtoms):
 
 
 def _max_ratio(num: np.ndarray, den: np.ndarray) -> Fraction:
-    """The largest num[i] / den[i], and at least 1, as one Fraction.
+    """The largest num[i] / den[i] of positive integer arrays, and at least 1."""
+    return _first_extreme(np.append(num, 1), np.append(den, 1))[1]
 
-    Positive integer arrays; the ratios are compared by cross-multiplication
-    in a knockout of halves, in int64 when every product fits, else in
-    Python ints.
-    """
-    top = int(num.max(initial=1)) * int(den.max(initial=1))
-    num = np.append(num, 1).astype(_int_dtype(top))
-    den = np.append(den, 1).astype(num.dtype)
-    while len(num) > 1:
-        k = len(num) // 2
+
+def _first_extreme(num: np.ndarray, den: np.ndarray, least: bool = False) -> tuple:
+    """(i, r): the first i at which r = num[i] / den[i] (den > 0) is greatest,
+    or least; (None, None) on empty arrays.  Integer ratios compare by
+    cross-multiplication in a knockout of halves (int64 when every product
+    fits), r a Fraction; float ratios as a scan keeping the first of equals
+    would (a NaN first stays, later NaNs are skipped), r a float."""
+    if not len(num):
+        return None, None
+    if num.dtype == float:
+        r = num / den
+        i = 0 if np.isnan(r[0]) else int((np.nanargmin if least else np.nanargmax)(r))
+        return i, float(r[i])
+    sign = -1 if least else 1
+    dtype = _int_dtype(int(abs(num).max()) * int(den.max()))
+    num, den = (sign * num).astype(dtype), den.astype(dtype)
+    p, q = num, den
+    while len(p) > 1:
+        k = len(p) // 2
         a, b = slice(0, k), slice(k, 2 * k)
-        later = num[b] * den[a] > num[a] * den[b]
-        num = np.concatenate((np.where(later, num[b], num[a]), num[2 * k :]))
-        den = np.concatenate((np.where(later, den[b], den[a]), den[2 * k :]))
-    return Fraction(int(num[0]), int(den[0]))
+        later = p[b] * q[a] > p[a] * q[b]
+        p = np.concatenate((np.where(later, p[b], p[a]), p[2 * k :]))
+        q = np.concatenate((np.where(later, q[b], q[a]), q[2 * k :]))
+    p, q = int(p[0]), int(q[0])
+    return int(np.argmax(num * q == p * den)), Fraction(sign * p, q)

@@ -119,6 +119,14 @@ class CellTree:
         return np.argsort(self.leaf_of), _walk(self.children, self.ROOT)[1]
 
     @cached_property
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (parent, child) edges as two intp arrays, by parent, then in
+        listed order (of preorder ids): each cell's children are one run."""
+        parent = np.array(self.parent[1:], dtype=np.intp)
+        child = np.argsort(parent, kind="stable")
+        return parent[child], child + 1
+
+    @cached_property
     def members(self) -> tuple[frozenset[int], ...]:
         """The frozenset of point indices of each cell, from the runs of `leaf_order`."""
         order, runs = self.leaf_order

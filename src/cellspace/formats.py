@@ -17,6 +17,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .analysis import MeasureAtoms
 from .celltree import CellTree, RootedTree, cells_of, validate_family
 from .errors import FormatError
@@ -57,6 +59,10 @@ def space_to_obj(
     from `leaf_of`, then the internal cells, whose ids run in preorder, so
     each child's dict is built before its parent's."""
     nodes: list = [None] * tree.n_cells
+    if weights is not None:  # each distinct weight as text once
+        keys, at = np.unique(weights.column, return_inverse=True)
+        texts = [frac_str(Fraction(k, weights.den)) for k in keys.tolist()]
+        weight_text = [texts[k] for k in at.tolist()]
     for i, leaf in enumerate(tree.leaf_of):
         out: dict = {"point": tree.points[i]}
         if embedding is not None:
@@ -68,7 +74,7 @@ def space_to_obj(
     for c in reversed(tree.internal_cells()):
         out = {"children": [nodes[k] for k in tree.children[c]]}
         if weights is not None:
-            out["weight"] = frac_str(weights[c])
+            out["weight"] = weight_text[c]
         nodes[c] = out
 
     obj: dict = {"format": FORMAT_NAME, "root": nodes[tree.ROOT]}
@@ -196,28 +202,30 @@ def load_space(text_or_obj, strict: bool = True) -> LoadedSpace:
         order.append((node, c))
         kids = node.children  # an only child shares the cell; others pair up in order
         stack.extend(zip(kids, tree.children[c] if len(kids) > 1 else (c,)))
-    weight_at: dict[int, Fraction] = {}
-    leaf_weight: dict[int, Fraction] = {}  # stated on the leaf itself
+    texts, stated = {"0": 0}, [Fraction(0)]  # each distinct weight text, parsed once
+    weight_at: dict[int, int] = {}  # indices into `stated`
+    leaf_weight: dict[int, int] = {}  # stated on the leaf itself
     leaf_payload = []  # leaves left to right, so indexed by point
     for node, c in reversed(order):
         payload = node.payload  # type: ignore[attr-defined]
         if node.is_leaf():
             leaf_payload.append(payload)
         if "weight" in payload:
-            w = parse_frac(payload["weight"])
-            if weight_at.setdefault(c, w) != w:
+            k = texts.setdefault(text := str(payload["weight"]), len(stated))
+            if k == len(stated):
+                stated.append(parse_frac(text))
+            if stated[weight_at.setdefault(c, k)] != stated[k]:
                 raise FormatError(f"conflicting weights for collapsed cell {indices(c)}")
             if node.is_leaf():
-                leaf_weight[c] = w
+                leaf_weight[c] = k
 
     weights = None
     if weight_at:
         for c in tree.internal_cells():
             if c not in weight_at:
                 raise FormatError(f"internal cell {indices(c)} lacks a weight")
-        values = [weight_at[c] if tree.children[c] else leaf_weight.get(c, Fraction(0))
-                  for c in tree.cells()]
-        weights = WeightFn(tree, tuple(values))
+        pick = [weight_at[c] if tree.children[c] else leaf_weight.get(c, 0) for c in tree.cells()]
+        weights = WeightFn(tree, stated, pick)
 
     measures = []
     intervals = []

@@ -253,6 +253,17 @@ def _int_dtype(mx: int):
     return np.int64 if 2 * mx < _INT64_LIMIT else object
 
 
+def _over_den(values) -> tuple[list[int], int]:
+    """Rationals as integers over their least common denominator, and that denominator."""
+    den = lcm(*{v.denominator for v in values})
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _column(ints: list[int]) -> np.ndarray:
+    """The integers as one column in `_int_dtype` of their largest magnitude."""
+    return np.array(ints, dtype=_int_dtype(max(map(abs, ints), default=0)))
+
+
 def _first_violation(table: MetricTable, combine):
     """Lexicographically smallest (x, z, y) with
     d(x, z) > combine(d(x, y), d(y, z)) (+ tol on float tables), or None."""
@@ -269,33 +280,48 @@ def _first_violation(table: MetricTable, combine):
     return None
 
 
-@dataclass(frozen=True)
 class WeightFn:
-    """Cell weights: zero exactly on leaves, strictly decreasing on edges."""
+    """Cell weights: zero exactly on leaves, strictly decreasing on edges.
 
-    tree: CellTree
-    values: tuple[Fraction, ...]
+    One integer column over the least common denominator (``column[c] /
+    den`` weighs cell c) in `_int_dtype`; ``values`` and ``w[c]`` build
+    Fractions on read.  With `pick`, cell c weighs ``values[pick[c]]`` (and
+    values no cell picks leave `den` alone).  The column is checked at once;
+    a failure is the first that a scan of the cells meets: a cell's own
+    weight, then its edges to internal children.
+    """
 
-    def __post_init__(self):
-        t = self.tree
-        if len(self.values) != t.n_cells:
+    def __init__(self, tree: CellTree, values, pick=None):
+        if pick is not None:
+            used, pick = np.unique(pick, return_inverse=True)
+            values = [values[k] for k in used.tolist()]
+        ints, self.den = _over_den(values)
+        self.tree, self.column = tree, _column(ints) if pick is None else _column(ints)[pick]
+        self.column.flags.writeable = False
+        if len(self.column) != tree.n_cells:
             raise ValueError("one weight per cell required")
-        for c in t.cells():
-            v = self.values[c]
-            if t.is_leaf(c):
-                if v != 0:
-                    raise ValueError(f"leaf cell {c} must have weight 0, got {v}")
-            else:
-                if v <= 0:
-                    raise ValueError(f"internal cell {c} must have positive weight")
-                for ch in t.children[c]:
-                    if not t.is_leaf(ch) and not self.values[ch] < v:
-                        raise NotDecreasing(
-                            f"weight does not strictly decrease on edge {c} -> {ch}"
-                        )
+        w, (parent, child) = self.column, tree.edges
+        leaf = np.bincount(parent, minlength=len(w)) == 0
+        own = np.where(leaf, w != 0, w <= 0)
+        rising = ~leaf[child] & ~(w[child] < w[parent])
+        c = int(own.argmax()) if own.any() else len(w)
+        if rising.any() and parent[rising.argmax()] < c:
+            e = rising.argmax()
+            raise NotDecreasing(f"weight does not strictly decrease on edge {parent[e]} -> {child[e]}")
+        if c < len(w):
+            raise ValueError(f"leaf cell {c} must have weight 0, got {self[c]}" if leaf[c]
+                             else f"internal cell {c} must have positive weight")
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(k, self.den) for k in self.column.tolist())
 
     def __getitem__(self, c: int) -> Fraction:
-        return self.values[c]
+        return Fraction(int(self.column[c]), self.den)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, WeightFn) and (self.tree, self.den) == (
+            other.tree, other.den) and np.array_equal(self.column, other.column)
 
 
 def weight_from_sequence(tree: CellTree, rho_seq) -> WeightFn:
@@ -312,16 +338,13 @@ def weight_from_sequence(tree: CellTree, rho_seq) -> WeightFn:
             raise NotDecreasing(f"sequence not strictly decreasing at {a} -> {b}")
     if seq[-1] <= 0:
         raise NotDecreasing("sequence must stay positive")
-    leaf_depths = {tree.depth[c] for c in tree.leaves()}
-    if len(leaf_depths) != 1:
+    leaf, depth = np.bincount(tree.edges[0], minlength=tree.n_cells) == 0, np.array(tree.depth)
+    leaf_depth = depth[leaf]
+    if leaf_depth.min() != leaf_depth.max():
         raise DepthMismatch("tree does not have uniform leaf depth")
-    depth = leaf_depths.pop()
-    if len(seq) != depth + 1:
-        raise DepthMismatch(f"need {depth + 1} sequence entries, got {len(seq)}")
-    values = tuple(
-        Fraction(0) if tree.is_leaf(c) else seq[tree.depth[c]] for c in tree.cells()
-    )
-    return WeightFn(tree, values)
+    if len(seq) != leaf_depth[0] + 1:
+        raise DepthMismatch(f"need {leaf_depth[0] + 1} sequence entries, got {len(seq)}")
+    return WeightFn(tree, seq + [Fraction(0)], np.where(leaf, len(seq), depth))
 
 
 def ultrametric_from_weight(tree: CellTree, w: WeightFn) -> MetricTable:
@@ -329,18 +352,13 @@ def ultrametric_from_weight(tree: CellTree, w: WeightFn) -> MetricTable:
     diagonal.  `WeightFn` checks that w is 0 exactly on the leaves and
     strictly decreasing, so d is an ultrametric whose closed balls are the
     cells: the construction is the certificate.  The table records `tree`
-    and the cell heights (weights over their common denominator) and fills
+    and w's column as the cell heights, over w's denominator, and fills
     nothing; its codes (`_tree_codes`) and kernel are made on first read.
     """
     if w.tree is not tree and w.tree != tree:
         raise ValueError("weight function belongs to a different tree")
-    values = [w[c] if tree.children[c] else Fraction(0) for c in tree.cells()]
-    den = lcm(*{v.denominator for v in values})
-    scaled = [v.numerator * (den // v.denominator) for v in values]
-    heights = np.array(scaled, dtype=_int_dtype(max(map(abs, scaled))))
-    heights.flags.writeable = False
     table = MetricTable.__new__(MetricTable)
-    table.__dict__.update(labels=tree.points, exact=True, tol=0.0, den=den, _built=(tree, heights))
+    table.__dict__.update(labels=tree.points, exact=True, tol=0.0, den=w.den, _built=(tree, w.column))
     return table
 
 
@@ -503,12 +521,15 @@ def validate_ultrametric(m: MetricTable) -> UltrametricVerdict:
 # -- geometry ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Geometry:
     """Point metric plus exact cell diameter and separation functions.
 
+    The diameters are one column over `_den`, integers (float64 on float
+    tables, `_den` None), and `diam(c)` builds a Fraction (a float) on read.
     Table-derived geometry takes the max/min over point pairs.  Interval
-    geometry uses hull lengths and hull gaps, which are the exact limit-set
+    geometry keeps each cell's hull as an integer row (left, right) of
+    `_hulls` over `_den`: hull lengths and gaps are the exact limit-set
     values of the truncated construction; its point metric samples each leaf
     at the endpoint facing its sibling, so sibling gaps are realized
     exactly by the sample.
@@ -517,12 +538,14 @@ class Geometry:
     tree: CellTree
     table: MetricTable
     source: str
-    _diams: tuple
-    _hulls: tuple | None = None
+    _diams: np.ndarray | tuple
+    _hulls: np.ndarray | None = None
     _lca: bool = False
+    _den: int | None = None
 
     def diam(self, c: int):
-        return self._diams[c]
+        k = self._diams[c]
+        return float(k) if self._den is None else Fraction(int(k), self._den)
 
     def separation(self, c1: int, c2: int):
         """The least distance between two disjoint cells; on a table weight-built on `tree`
@@ -531,39 +554,41 @@ class Geometry:
         if runs[c1].start < runs[c2].stop and runs[c2].start < runs[c1].stop:
             raise OverlappingCells(f"cells {c1} and {c2} intersect")
         if self._hulls is not None:
-            (l1, r1), (l2, r2) = self._hulls[c1], self._hulls[c2]
+            (l1, r1), (l2, r2) = self._hulls[c1].tolist(), self._hulls[c2].tolist()
             gap = l2 - r1 if l1 <= l2 else l1 - r2
             if gap < 0:
                 raise OverlappingCells(
                     f"cells {c1} and {c2} are disjoint but their hulls overlap"
                 )
-            return gap
+            return Fraction(gap, self._den)
         if self._lca:  # the diameter of the lowest common ancestor
             while c1 != c2:  # preorder ids: the larger is not an ancestor of the other
                 c1, c2 = (self.tree.parent[c1], c2) if c1 > c2 else (c1, self.tree.parent[c2])
-            return self._diams[c1]
+            return self.diam(c1)
         a, b = np.sort(order[runs[c1]]), np.sort(order[runs[c2]])
         # fmin skips NaN entries, as the diameters do
         return self.table._value(np.fmin.reduce(self.table.kernel[np.ix_(a, b)], axis=None))
 
     @classmethod
     def from_table(cls, tree: CellTree, table: MetricTable) -> "Geometry":
-        """Cell diameters as the table's values of `_diameter_keys`."""
-        diams = tuple(map(table._value, _diameter_keys(tree, table)))
-        return cls(tree, table, "table", diams, _lca=table._heights_on(tree) is not None)
+        """Cell diameters as the table's column of `_diameter_keys`, over its `den`."""
+        lca = table._heights_on(tree) is not None
+        return cls(tree, table, "table", _diameter_keys(tree, table), _lca=lca, _den=table.den)
 
     @classmethod
     def from_intervals(cls, tree: CellTree, emb: IntervalEmbedding) -> "Geometry":
-        """Hull diameters and gaps, and the point metric `interval_table`."""
+        """Hull diameters and gaps over the least common denominator of the
+        interval ends, and the point metric `interval_table`."""
         table = interval_table(tree, emb)
-        hulls = [None] * tree.n_cells
+        ends, den = _over_den([v for pair in emb.intervals for v in pair])
+        lo, hi = [0] * tree.n_cells, [0] * tree.n_cells
         for i, leaf in enumerate(tree.leaf_of):
-            hulls[leaf] = emb.intervals[i]
+            lo[leaf], hi[leaf] = ends[2 * i], ends[2 * i + 1]
         for c in reversed(tree.internal_cells()):  # preorder: children after their parent
             kids = tree.children[c]
-            hulls[c] = (min(hulls[k][0] for k in kids), max(hulls[k][1] for k in kids))
-        diams = tuple(r - l for l, r in hulls)
-        return cls(tree, table, "intervals", diams, tuple(hulls))
+            lo[c], hi[c] = min(lo[k] for k in kids), max(hi[k] for k in kids)
+        hulls = _column(lo + hi).reshape(2, -1).T
+        return cls(tree, table, "intervals", hulls[:, 1] - hulls[:, 0], hulls, _den=den)
 
 
 def _diameter_keys(tree: CellTree, table: MetricTable) -> np.ndarray:
@@ -605,8 +630,7 @@ def interval_table(tree: CellTree, emb: IntervalEmbedding) -> MetricTable:
         else:
             sibs = tree.children[par]
             reps.append(right if leaf == sibs[0] else left)
-    den = lcm(*(r.denominator for r in reps))
-    ints = [r.numerator * (den // r.denominator) for r in reps]
+    ints, den = _over_den(reps)
     lo = min(ints)
     g = gcd(den, *(p - lo for p in ints))
     ints = [(p - lo) // g for p in ints]
@@ -800,9 +824,12 @@ class MonotonicityVerdict:
 
 
 def strict_diameter_monotonicity(tree: CellTree, g: Geometry) -> MonotonicityVerdict:
-    """diam C' < diam C on every tree edge (child strictly smaller)."""
-    for c in tree.cells():
-        for ch in tree.children[c]:
-            if not g.diam(ch) < g.diam(c):
-                return MonotonicityVerdict(False, (c, ch, g.diam(c), g.diam(ch)))
-    return MonotonicityVerdict(True)
+    """diam C' < diam C on every tree edge (child strictly smaller): one
+    compare of the diameter column along `tree.edges`, whose first failing
+    edge is the witness."""
+    diams, (parent, child) = np.asarray(g._diams), tree.edges
+    bad = ~(diams[child] < diams[parent])
+    if not bad.any():
+        return MonotonicityVerdict(True)
+    c, ch = int(parent[bad.argmax()]), int(child[bad.argmax()])
+    return MonotonicityVerdict(False, (c, ch, g.diam(c), g.diam(ch)))

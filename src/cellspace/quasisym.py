@@ -63,12 +63,9 @@ class _Values:
         Python int / int beyond), which never misorder two values, and each
         run of equal keys is re-sorted exactly on values built for it."""
         if self.den is None:
-            keys = list(map(_float_key, self.num))
-        elif max(abs(self.num).max(initial=0), self.den.max(initial=0)) < 2**53:
-            keys = self.num.astype(float) / self.den.astype(float)
+            keys = np.array(list(map(_float_key, self.num)), float)
         else:
-            keys = list(map(_float_key, self.num.tolist(), self.den.tolist()))
-        keys = np.asarray(keys, float)
+            keys = _floats(self.num, self.den)
         order = np.argsort(keys, kind="stable")
         _, starts, sizes = np.unique(keys[order], return_index=True, return_counts=True)
         new = np.zeros(len(keys), bool)  # the value differs from the one before
@@ -80,6 +77,17 @@ class _Values:
         ranks = np.empty(len(keys), np.intp)
         ranks[order] = np.cumsum(new) - 1
         return ranks
+
+
+def _floats(num: np.ndarray, den) -> np.ndarray:
+    """Correctly rounded floats of num / den for an integer array num and den
+    > 0 (an array or an int): numpy below 2^53, else Python int / int; num
+    itself when den is None (a float table's keys)."""
+    if den is None:
+        return num
+    if max(abs(num).max(initial=0), np.max(den, initial=0)) < 2**53:
+        return num.astype(float) / np.asarray(den).astype(float)
+    return np.array(list(map(_float_key, num.tolist(), np.broadcast_to(den, num.shape).tolist())), float)
 
 
 def _float_key(a, b: int = 1) -> float:
@@ -304,7 +312,8 @@ def _exact_triples(d: MetricTable, dt: MetricTable) -> tuple[np.ndarray, np.ndar
 
 def _value_bins(floats: list, codes: np.ndarray) -> np.ndarray:
     """Class id of each value code: identity on the distinct off-diagonal
-    floats when there are few, geometric binning otherwise.  Values found
+    floats when there are few, geometric binning otherwise, where a zero
+    value has a class of its own, _N_BINS, after the bins.  Values found
     only on the diagonal get class -1; as every code is an entry of the
     table, only the diagonal's codes are counted (one at a time: a metric's
     diagonal is one code), in blocks of rows."""
@@ -319,10 +328,13 @@ def _value_bins(floats: list, codes: np.ndarray) -> np.ndarray:
         for c in used:
             bins[c] = lookup[floats[c]]
     else:
-        lo = math.log(vals[0])
+        lo = math.log(vals[1] if vals[0] == 0 else vals[0])
         hi = math.log(vals[-1])
         span = hi - lo or 1.0
         for c in used:
+            if floats[c] == 0:
+                bins[c] = _N_BINS
+                continue
             k = int((math.log(floats[c]) - lo) / span * _N_BINS)
             bins[c] = min(max(k, 0), _N_BINS - 1)
     return np.array(bins, dtype=np.int8)  # at most 64 classes
@@ -339,14 +351,13 @@ def _sampled_triples(d: MetricTable, dt: MetricTable, seed: int) -> tuple[np.nda
     with a stratum left to take is read alone."""
     n = d.n
     rng = random.Random(seed)
-    d_values, dc = d.value_codes()
-    t_values, tc = dt.value_codes()
+    d_keys, dc = d.kernel_codes()
+    t_keys, tc = dt.kernel_codes()
     triples = [(0, 1, 1)]  # (1, 1) is realized whenever there are two points
     order = list(range(n))
     rng.shuffle(order)
-    # float views: one float() per distinct value
-    d_floats = np.array([float(v) for v in d_values])
-    t_floats = np.array([float(v) for v in t_values])
+    # float views of the values: correctly rounded, as float() of each value's Fraction
+    d_floats, t_floats = _floats(d_keys, d.den), _floats(t_keys, dt.den)
     passes = ((dc, d_floats, tc, t_floats), (tc, t_floats, dc, d_floats))
     most = max(_BLOCK // n, 1)  # rows in a block
     for which, (bin_codes, b_floats, other_codes, o_floats) in enumerate(passes):

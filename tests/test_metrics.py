@@ -186,9 +186,9 @@ def test_separation_rejects_disjoint_cells_with_overlapping_hulls():
     tree, emb = cantor(2)
     g = Geometry.from_intervals(tree, emb)
     a, b = tree.children[tree.ROOT]
-    hulls = list(g._hulls)
-    hulls[b] = (F(1, 4), F(1))  # starts inside a's hull [0, 1/3]
-    broken = dataclasses.replace(g, _hulls=tuple(hulls))
+    hulls = g._hulls.copy()  # rows (left, right) over g._den = 9: a is [0, 3]
+    hulls[b, 0] = hulls[a, 1] - 1  # b now starts inside a's hull
+    broken = dataclasses.replace(g, _hulls=hulls)
     with pytest.raises(OverlappingCells, match="hulls overlap"):
         broken.separation(a, b)
     with pytest.raises(OverlappingCells, match="hulls overlap"):
