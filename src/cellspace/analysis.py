@@ -106,13 +106,21 @@ def measure_cell_doubling(tree: CellTree, mu: MeasureAtoms) -> Fraction:
 
 def _cell_masses(tree: CellTree, mu: MeasureAtoms) -> np.ndarray:
     """The mass of each cell as an integer over the atoms' denominator, in
-    the dtype of their column, summed from the leaves up the tree."""
-    mass = [0] * tree.n_cells
+    the dtype of their column, summed from the leaves up the tree; read-only,
+    and kept on `mu` for the last tree asked, so the cell and metric
+    doubling of one analysis sum them once."""
+    kept = mu.__dict__.get("_masses")
+    if kept is not None and kept[0] is tree:
+        return kept[1]
+    mass, parent = [0] * tree.n_cells, tree.parent
     for leaf, k in zip(tree.leaf_of, mu.column.tolist()):
         mass[leaf] = k
     for c in range(tree.n_cells - 1, 0, -1):  # preorder: children after their parent
-        mass[tree.parent[c]] += mass[c]
-    return np.array(mass, dtype=mu.column.dtype)
+        mass[parent[c]] += mass[c]
+    out = np.array(mass, dtype=mu.column.dtype)
+    out.flags.writeable = False
+    mu._masses = (tree, out)
+    return out
 
 
 def product_measure(spec: ProductSpec, level_weights) -> MeasureAtoms:
@@ -470,7 +478,7 @@ def measure_metric_doubling(g: Geometry, mu: MeasureAtoms):
     that of a cell C above x to the ball of radius h(C) / 2 around x, one
     of C's `_half_balls`, so the pairs are those of the tree and the masses
     are its cell masses.  On any other table the masses are prefix sums of
-    the point masses (the leaves of g.tree) along the `ball_scanner`'s
+    the point masses (`mu.column`) along the `ball_scanner`'s
     ``orders``, read at the `critical_radii` where a ball changes
     (`BallScanner.change_radii`): between two of them B(x, r) is constant
     and mu(B(x, r/2)) can only grow, so the largest ratio falls on one.
@@ -488,8 +496,7 @@ def measure_metric_doubling(g: Geometry, mu: MeasureAtoms):
     scanner = table.ball_scanner
     bounds = scanner.bounds(critical_radii(table))
     x, at = scanner.change_radii(bounds[0])
-    masses = _cell_masses(g.tree, mu)[list(g.tree.leaf_of)]
-    prefix = np.cumsum(np.insert(masses[scanner.orders], 0, 0, axis=1), axis=1)
+    prefix = np.cumsum(np.insert(mu.column[scanner.orders], 0, 0, axis=1), axis=1)
     num, den = prefix[x, scanner.count(x, bounds[:, at])]  # masses of B(x, r) and B(x, r/2)
     return _max_ratio(num, den)
 

@@ -421,36 +421,56 @@ def validate_family(points, subsets, strict: bool = True) -> CellTree:
     return tree
 
 
-def cells_of(tree: RootedTree) -> CellTree:
+def cells_of(tree, labels=None) -> CellTree:
     """CellTree whose cells are the leaf-label sets below each vertex.
 
-    Unary chains collapse (a vertex and its only child contain the same
-    leaves); every leaf must carry a distinct label, else DuplicateLeafLabel
-    names the first bad leaf in preorder.  One preorder walk numbers cells,
-    and points in leaf order, so the ids are already canonical.  O(vertices):
-    no sort, no owner pass, no point set (a cell's points are a run).
+    The tree is a `RootedTree`, or its flat preorder form: ``tree[v]`` is
+    the parent of vertex v (None at the root, vertex 0) and ``labels[v]``
+    its leaf label (None if internal), the vertices listed in depth-first
+    preorder, children left to right; a RootedTree is flattened first, by
+    one walk.  One pass then numbers cells and points in that order, so
+    the ids are already canonical.  Unary chains collapse (a vertex and its
+    only child contain the same leaves, and in preorder the child comes
+    next); every leaf must carry a distinct label, else DuplicateLeafLabel
+    names the first bad leaf in preorder.  O(vertices): no sort, no owner
+    pass, no point set (a cell's points are a run).
     """
-    leaf_at: dict[str, int] = {}  # label -> leaf cell, in point order
-    parent: list[int | None] = []
-    kids: list[list[int]] = []
-    depth: list[int] = []
-    stack: list = [(tree, None, [])]  # vertex, parent cell, its child list
-    while stack:
-        node, up, siblings = stack.pop()
-        while len(node.children) == 1:
-            node = node.children[0]
-        c = len(parent)
-        siblings.append(c)
-        parent.append(up)
-        kids.append([])
-        depth.append(0 if up is None else depth[up] + 1)
-        stack.extend((k, c, kids[c]) for k in reversed(node.children))
-        if not node.children:
-            if node.label is None or node.label in leaf_at:
-                raise DuplicateLeafLabel(node.label)
-            leaf_at[node.label] = c
-    return CellTree(tuple(leaf_at), tuple(parent), tuple(map(tuple, kids)),
-                    tuple(depth), tuple(leaf_at.values()))
+    if labels is None:  # a RootedTree: flatten it
+        up, labels, stack = [], [], [(tree, None)]
+        while stack:
+            node, p = stack.pop()
+            stack.extend([(k, len(up)) for k in reversed(node.children)])
+            up.append(p)
+            labels.append(node.label)
+        tree = up
+    fanout = np.bincount(tree[1:], minlength=len(tree)).tolist()
+    cell = [0] * len(tree)  # the cell of each vertex
+    parent: list[int | None] = [None]
+    kids: list[list[int]] = [[]]
+    depth, points, leaf_of = [0], [], []
+    for v, (p, n_kids) in enumerate(zip(tree, fanout)):
+        if p is None:  # the root: cell 0
+            c = 0
+        elif fanout[p] == 1:  # the only child of p shares its cell
+            c = cell[p]
+        else:
+            q, c = cell[p], len(parent)
+            parent.append(q)
+            kids[q].append(c)
+            kids.append([])
+            depth.append(depth[q] + 1)
+        cell[v] = c
+        if not n_kids:
+            points.append(labels[v])
+            leaf_of.append(c)
+    if None in points or len(set(points)) < len(points):
+        seen: set = set()
+        for label in points:
+            if label is None or label in seen:
+                raise DuplicateLeafLabel(label)
+            seen.add(label)
+    return CellTree(tuple(points), tuple(parent), tuple(map(tuple, kids)),
+                    tuple(depth), tuple(leaf_of))
 
 
 def _walk(kids, root: int) -> tuple[np.ndarray, list]:

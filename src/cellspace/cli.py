@@ -9,6 +9,7 @@ input or usage, or out of memory.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -85,7 +86,7 @@ def cmd_generate(args) -> int:
     elif kind == "ray":
         if args.complete:
             arity, depth = _ints(args.complete)
-            tree = spaces.ray_space(spaces.complete_tree(arity, depth))
+            tree = spaces.complete_rays(arity, depth)
             generator = {"kind": "ray", "complete": [arity, depth]}
         elif args.tree:
             text = Path(args.tree).read_text(encoding="utf-8")
@@ -191,10 +192,6 @@ def _metric_spec_geometry(spec: str, tree, embedding=None, weights=None):
     return metrics.Geometry.from_table(tree, _metric_spec_table(spec, tree, embedding, weights))
 
 
-def _cell_str(tree, c: int) -> str:
-    return "{" + ",".join(sorted(tree.cell_points(c))) + "}"
-
-
 def cmd_analyze(args) -> int:
     loaded = formats.load_space(Path(args.file).read_text(encoding="utf-8"))
     tree = loaded.tree
@@ -209,8 +206,14 @@ def cmd_analyze(args) -> int:
     def fr(v):
         return None if v is None else formats.frac_str(v)
 
+    order, runs = tree.leaf_order
+
+    @functools.cache
+    def cell_str(c: int) -> str:  # each distinct witness cell once: its labels, sorted
+        return "{" + ",".join(sorted(map(tree.points.__getitem__, order[runs[c]].tolist()))) + "}"
+
     def edge(w):
-        return None if w is None else [_cell_str(tree, c) for c in w]
+        return None if w is None else [cell_str(c) for c in w]
 
     obj = {
         "k1": k1,
@@ -291,7 +294,7 @@ def _regenerate(generator, depth: int):
         return spaces.fat_cantor(depth, thetas)
     if kind == "ray" and generator.get("complete"):
         arity = _int_list(generator, "complete")[0]
-        return spaces.ray_space(spaces.complete_tree(arity, depth)), None
+        return spaces.complete_rays(arity, depth), None
     raise CellSpaceError(f"generator {kind!r} does not support depth sweeps")
 
 
@@ -341,7 +344,10 @@ def cmd_distortion(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: `main` looks each
+    command up by name when it runs, so none is bound in here."""
     p = argparse.ArgumentParser(
         prog="cellspace",
         description="Finite cellular spaces: generators, validators, doubling "
@@ -363,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--tree", help="JSON rooted tree file (ray)")
     g.add_argument("--complete", help="N,L complete tree shorthand (ray)")
     g.add_argument("--out", help="output path (default stdout)")
-    g.set_defaults(func=cmd_generate)
 
     v = sub.add_parser("validate", help="check a space file")
     v.add_argument("file")
@@ -373,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help="reject families missing singleton cells (lenient mode inserts them)",
     )
-    v.set_defaults(func=cmd_validate)
 
     a = sub.add_parser("analyze", help="doubling and regularity constants")
     a.add_argument("file")
@@ -384,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     a.add_argument("--format", choices=["json", "table"], default="table")
     a.add_argument("--out", help="output path (default stdout)")
-    a.set_defaults(func=cmd_analyze)
 
     d = sub.add_parser("distortion", help="cross-depth quasisymmetry verdict")
     d.add_argument("file", help="space file with generator metadata")
@@ -395,15 +398,14 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--tol", type=float, default=1e-9)
     d.add_argument("--seed", type=int, default=0)
     d.add_argument("--out", default="distortion-out", help="output directory")
-    d.set_defaults(func=cmd_distortion)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command]  # read per call: a rebound cmd_* is the one run
     try:
-        return args.func(args)
+        return command(args)
     except FormatError as e:
         print(f"malformed input: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -16,6 +16,8 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from typing import NoReturn
 
 import numpy as np
 
@@ -143,6 +145,13 @@ def _root_obj(obj: dict):
     return obj.get("root", obj if ("children" in obj or "point" in obj) else None)
 
 
+def _first_bad_node(root_obj) -> NoReturn:
+    """Raise the FormatError of the first bad node in document order, which
+    `_parse_node`'s walk, in that order too, names by its path."""
+    _parse_node(root_obj)
+    raise FormatError("bad node")  # not reached: the walk meets the bad node
+
+
 _TOO_DEEP = (
     "tree nested too deeply for the nested form; "
     'write it in the flat family form {"points": [...], "cells": [[...], ...]}'
@@ -162,10 +171,15 @@ def load_space(text_or_obj, strict: bool = True) -> LoadedSpace:
 
     Nothing here recurses, so only `json.loads` limits the nesting of a
     tree-form text: a deeper document is a FormatError.  A tree form costs
-    O(vertices): `cells_of`, then one walk that pairs each vertex with its
-    cell, so weights and leaf payloads are keyed by cell.  A leaf's weight
-    is the one stated on the leaf itself (0 if none); a unary vertex above
-    a leaf shares its cell, so its weight must only agree with the leaf's.
+    O(vertices): one walk over the node objects in document order collapses
+    unary chains as it goes and hands `cells_of` the flat preorder form of
+    the cells, keeping each cell's chain of node objects for its weight and
+    leaf payload.  The first bad node is named by `_parse_node`'s path,
+    then `cells_of` names a duplicate leaf label, then the weights are
+    checked in postorder, children left to right, the deepest vertex of a
+    chain first.  A leaf's weight is the one stated on the leaf itself (0
+    if none); a unary vertex above a leaf shares its cell, so its weight
+    must only agree with the leaf's.
     """
     obj = _document(text_or_obj)
     generator = obj.get("generator")
@@ -189,38 +203,60 @@ def load_space(text_or_obj, strict: bool = True) -> LoadedSpace:
     root_obj = _root_obj(obj)
     if root_obj is None:
         raise FormatError("document has neither a root node nor a family listing")
-    rooted = _parse_node(root_obj)
-    tree = cells_of(rooted)
+    up: list[int | None] = []
+    labels: list[str | None] = []
+    nodes: list[dict] = []  # the last node object of each cell's chain
+    above: dict[int, list[dict]] = {}  # the unary vertices over it, top down
+    stack = [(root_obj, None)]
+    while stack:
+        node, p = stack.pop()
+        c = len(nodes)
+        while True:
+            if not isinstance(node, dict):
+                _first_bad_node(root_obj)
+            if "point" in node:
+                label, kids = node["point"], ()
+                if not isinstance(label, str):
+                    _first_bad_node(root_obj)
+                break
+            kids = node.get("children")
+            if not isinstance(kids, list) or not kids:
+                _first_bad_node(root_obj)
+            if len(kids) > 1:
+                label = None
+                break
+            above.setdefault(c, []).append(node)
+            node = kids[0]
+        up.append(p)
+        labels.append(label)
+        nodes.append(node)
+        stack.extend([(k, c) for k in reversed(kids)])
+    tree = cells_of(up, labels)
 
     def indices(c: int) -> list[int]:  # the point indices of cell c, for messages
         leaves, runs = tree.leaf_order
         return sorted(leaves[runs[c]].tolist())
 
-    order, stack = [], [(rooted, tree.ROOT)]
-    while stack:  # vertex, then children right to left: reversed, a postorder
-        node, c = stack.pop()
-        order.append((node, c))
-        kids = node.children  # an only child shares the cell; others pair up in order
-        stack.extend(zip(kids, tree.children[c] if len(kids) > 1 else (c,)))
-    texts, stated = {"0": 0}, [Fraction(0)]  # each distinct weight text, parsed once
-    weight_at: dict[int, int] = {}  # indices into `stated`
-    leaf_weight: dict[int, int] = {}  # stated on the leaf itself
-    leaf_payload = []  # leaves left to right, so indexed by point
-    for node, c in reversed(order):
-        payload = node.payload  # type: ignore[attr-defined]
-        if node.is_leaf():
-            leaf_payload.append(payload)
-        if "weight" in payload:
-            k = texts.setdefault(text := str(payload["weight"]), len(stated))
-            if k == len(stated):
-                stated.append(parse_frac(text))
-            if stated[weight_at.setdefault(c, k)] != stated[k]:
-                raise FormatError(f"conflicting weights for collapsed cell {indices(c)}")
-            if node.is_leaf():
-                leaf_weight[c] = k
-
     weights = None
-    if weight_at:
+    if any("weight" in node for node in chain(nodes, *above.values())):
+        post, stack = [], [tree.ROOT]
+        while stack:  # cell, then children right to left: reversed, a postorder
+            c = stack.pop()
+            post.append(c)
+            stack.extend(tree.children[c])
+        texts, stated = {"0": 0}, [Fraction(0)]  # each distinct weight text, parsed once
+        weight_at: dict[int, int] = {}  # indices into `stated`
+        leaf_weight: dict[int, int] = {}  # stated on the leaf itself
+        for c in reversed(post):
+            for node in (nodes[c], *reversed(above.get(c, ()))):
+                if "weight" in node:
+                    k = texts.setdefault(text := str(node["weight"]), len(stated))
+                    if k == len(stated):
+                        stated.append(parse_frac(text))
+                    if stated[weight_at.setdefault(c, k)] != stated[k]:
+                        raise FormatError(f"conflicting weights for collapsed cell {indices(c)}")
+                    if node is nodes[c] and not tree.children[c]:
+                        leaf_weight[c] = k
         for c in tree.internal_cells():
             if c not in weight_at:
                 raise FormatError(f"internal cell {indices(c)} lacks a weight")
@@ -229,7 +265,7 @@ def load_space(text_or_obj, strict: bool = True) -> LoadedSpace:
 
     measures = []
     intervals = []
-    for payload in leaf_payload:
+    for payload in map(nodes.__getitem__, tree.leaf_of):  # leaves by point
         if "measure" in payload:
             measures.append(parse_frac(payload["measure"]))
         if "interval" in payload:

@@ -13,7 +13,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
 from itertools import repeat
 
 from .celltree import CellTree, RootedTree, cells_of
@@ -66,27 +65,47 @@ class ProductSpec:
         Digits are concatenated while every alphabet fits in 0..9; larger
         alphabets fall back to dot-separated indices.
         """
-        sep = "" if max(self.sizes) <= 10 else "."
-        return [
-            sep.join(str(c) for c in coords)
-            for coords in iproduct(*(range(n) for n in self.sizes))
-        ]
+        return _coordinates(self.sizes, "" if max(self.sizes) <= 10 else ".")
+
+
+def _coordinates(sizes, sep: str, prefix: str = "") -> list[str]:
+    """`prefix` followed by the coordinates joined by `sep`, for every
+    coordinate tuple in lexicographic order: one level at a time."""
+    out = [prefix]
+    for level, k in enumerate(sizes):
+        digits = [(sep if level else "") + str(j) for j in range(k)]
+        out = [head + d for head in out for d in digits]
+    return out
+
+
+def _complete(sizes, leaf_labels) -> CellTree:
+    """`cells_of` the complete tree whose depth-l vertices have sizes[l]
+    children, its leaves labelled in order; one walk from a stack gives
+    the flat preorder form, so no recursion limit caps the depth."""
+    up: list[int | None] = []
+    labels: list[str | None] = []
+    leaves, stack = iter(leaf_labels), [(None, 0)]
+    while stack:
+        p, level = stack.pop()
+        up.append(p)
+        if level == len(sizes):
+            labels.append(next(leaves))
+        else:
+            labels.append(None)
+            stack.extend(repeat((len(up) - 1, level + 1), sizes[level]))
+    return cells_of(up, labels)
 
 
 def product_space(spec: ProductSpec) -> CellTree:
     """Complete tree of the product cellular structure.
 
     Depth-l cells are exactly the sets of points sharing their first l
-    coordinates; leaves are the coordinate strings.  Built bottom-up, one
-    level at a time, so no recursion limit caps the depth.
+    coordinates; leaves are the coordinate strings, in preorder from the
+    sizes (`_complete`), with no tree object per vertex.
     """
     _check_points(spec.sizes)
     sep = "" if max(spec.sizes) <= 10 else "."
-    coords = iproduct(*(range(k) for k in spec.sizes))
-    level = [RootedTree(label=sep.join(map(str, c))) for c in coords]
-    for k in reversed(spec.sizes):
-        level = [RootedTree(children=level[i : i + k]) for i in range(0, len(level), k)]
-    tree = cells_of(level[0])
+    tree = _complete(spec.sizes, _coordinates(spec.sizes, sep))
     if tree.points != tuple(spec.labels()):
         raise BrokenCellTree("product tree points are not the coordinate strings")
     return tree
@@ -99,23 +118,30 @@ def ray_space(tree: RootedTree) -> CellTree:
     is the set of rays passing through v.  Vertices with a single child
     determine the same ray set as that child and collapse to one cell.
     Unlabeled leaves are named by their root-to-leaf child-index path.
+    One walk from a stack gives `cells_of` the flat preorder form, so no
+    recursion limit caps the depth.
     """
-    return cells_of(_with_ray_labels(tree))
-
-
-def _with_ray_labels(tree: RootedTree) -> RootedTree:
-    """Copy of the tree with each unlabeled leaf named by its path; built
-    top-down from a stack, so no recursion limit caps the depth."""
-    root = RootedTree()
-    stack = [(tree, root, ())]
+    up: list[int | None] = []
+    labels: list[str | None] = []
+    stack: list = [(tree, None, ())]
     while stack:
-        node, new, path = stack.pop()
-        if node.is_leaf():
-            new.label = "r" + ".".join(map(str, path)) if node.label is None else node.label
-        for i, ch in enumerate(node.children):
-            new.children.append(RootedTree())
-            stack.append((ch, new.children[-1], path + (i,)))
-    return root
+        node, p, path = stack.pop()
+        kids = node.children
+        stack.extend([(kids[i], len(up), (*path, i)) for i in reversed(range(len(kids)))])
+        up.append(p)
+        unnamed = not kids and node.label is None
+        labels.append("r" + ".".join(map(str, path)) if unnamed else node.label)
+    return cells_of(up, labels)
+
+
+def complete_rays(arity: int, depth: int) -> CellTree:
+    """`ray_space(complete_tree(arity, depth))`, built from the sizes
+    (`_complete`) with no tree object per vertex; arity 1 collapses to the
+    single point r0.0...0."""
+    if arity < 1 or depth < 0:
+        raise ValueError("need arity >= 1 and depth >= 0")
+    _check_points(repeat(arity, depth))
+    return _complete((arity,) * depth, _coordinates((arity,) * depth, ".", "r"))
 
 
 def complete_tree(arity: int, depth: int) -> RootedTree:
@@ -216,7 +242,8 @@ def random_laminar(
     Every internal node gets between 2 and max_branch children, never deeper
     than max_depth.  The generator is random.Random(seed) (Mersenne Twister)
     consumed in document order: child count first, then child sizes left to
-    right.  Built from a stack, so no recursion limit caps the depth.
+    right.  One walk from a stack gives `cells_of` the flat preorder form,
+    so no recursion limit caps the depth.
     """
     if max_branch < 2 or max_depth < 1 or n_points < 1:
         raise ValueError("need max_branch >= 2, max_depth >= 1, n_points >= 1")
@@ -225,14 +252,18 @@ def random_laminar(
     if reach < n_points:  # then reach is the full power
         raise ValueError(f"max_branch**max_depth = {reach} < {n_points} points")
     rng = random.Random(seed)
-    root = RootedTree()
-    stack = [(root, 0, n_points, max_depth)]
+    up: list[int | None] = []
+    labels: list[str | None] = []
+    stack = [(None, 0, n_points, max_depth)]
     while stack:  # preorder, children left to right: the document order
-        node, lo, hi, levels_left = stack.pop()
+        p, lo, hi, levels_left = stack.pop()
+        v = len(up)
+        up.append(p)
         size = hi - lo
         if size == 1:
-            node.label = f"p{lo}"
+            labels.append(f"p{lo}")
             continue
+        labels.append(None)
         # leaves per child, clamped to the size being split: any cap >= size
         # draws the same kmin, lo_sz and hi_sz
         cap = _capped_power(max_branch, levels_left - 1, size)
@@ -246,8 +277,7 @@ def random_laminar(
             lo_sz = max(1, rem - cap * slots_after)
             hi_sz = min(cap, rem - slots_after)
             s = rng.randint(lo_sz, hi_sz) if j < k - 1 else rem
-            kids.append((RootedTree(), hi - rem, hi - rem + s, levels_left - 1))
+            kids.append((v, hi - rem, hi - rem + s, levels_left - 1))
             rem -= s
-        node.children = [kid[0] for kid in kids]
         stack.extend(reversed(kids))
-    return cells_of(root)
+    return cells_of(up, labels)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellspace.cli import main, parse_grid
+from cellspace.formats import load_space
 
 
 def _run(capsys, *argv):
@@ -773,3 +774,17 @@ def test_no_command_builds_member_sets(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(CellTree, "members", property(refuse))
     assert run_all("runs") == plain
+
+
+def test_analyze_witness_cells_list_their_labels_sorted(tmp_path, capsys):
+    # labels p0..p11: point order is not the sorted order once p10 shares a cell with p2
+    f = tmp_path / "r.json"
+    _run(capsys, "generate", "random", "--seed", "5", "--points", "12", "--out", str(f))
+    tree = load_space(f.read_text(encoding="utf-8")).tree
+    code, stdout, _ = _run(capsys, "analyze", str(f), "--format", "json")
+    assert code == 0
+    witnesses = json.loads(stdout)["witnesses"]
+    want = {"{" + ",".join(sorted(tree.cell_points(c))) + "}" for c in tree.cells()}
+    cells = [cell for pair in witnesses.values() if pair for cell in pair]
+    assert cells and set(cells) <= want
+    assert any("p10" in cell and cell.index("p10") < cell.index("p2") for cell in cells)
